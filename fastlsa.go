@@ -99,7 +99,8 @@ type (
 const (
 	// SpanNameGeneralCase is a FastLSA general-case recursion.
 	SpanNameGeneralCase = obs.SpanGeneralCase
-	// SpanNameBaseCase is a recursion solved directly in the base-case buffer.
+	// SpanNameBaseCase is the fill of a recursion solved directly in the
+	// base-case buffer; its traceback is SpanNameTraceback.
 	SpanNameBaseCase = obs.SpanBaseCase
 	// SpanNameGridFill is one grid-cache fill (sequential or parallel).
 	SpanNameGridFill = obs.SpanGridFill
@@ -489,10 +490,8 @@ func (o Options) backendRequest(planned bool) backend.Request {
 		K:            o.K,
 		BaseCells:    o.BaseCells,
 		Counters:     o.Counters,
-		Trace:        o.Trace,
-		Recorder:     o.Recorder,
+		Obs:          obs.Run{Trace: o.Trace, Recorder: o.Recorder, Labels: o.Context},
 		Checkpoint:   o.Checkpoint,
-		Prof:         o.Context,
 	}
 }
 
@@ -789,9 +788,7 @@ func Search(query *Sequence, db []*Sequence, opt SearchOptions) ([]SearchHit, er
 		Index:      opt.Index,
 		Probe:      opt.Probe,
 		OnHit:      opt.OnHit,
-		Trace:      opt.Trace,
-		Recorder:   opt.Recorder,
-		Prof:       opt.Context,
+		Obs:        obs.Run{Trace: opt.Trace, Recorder: opt.Recorder, Labels: opt.Context},
 	})
 }
 

@@ -69,8 +69,8 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 			// Even the minimum mesh does not fit: degrade to the sequential
 			// fill, which needs no transient mesh at all.
 			s.c.AddSeqFillFallback()
-			if s.opt.rec != nil {
-				s.opt.rec.Add(obs.Event{Kind: obs.EvSeqFill,
+			if s.opt.run.Recorder != nil {
+				s.opt.run.Recorder.Add(obs.Event{Kind: obs.EvSeqFill,
 					Detail: fmt.Sprintf("%dx%d mesh over budget", k*uReq, k*vReq)})
 			}
 			return s.fillGridCacheSeq(grid, 0)
@@ -78,8 +78,8 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	}
 	if u != uReq || v != vReq {
 		s.c.AddMeshShrink()
-		if s.opt.rec != nil {
-			s.opt.rec.Add(obs.Event{Kind: obs.EvMeshShrink,
+		if s.opt.run.Recorder != nil {
+			s.opt.run.Recorder.Add(obs.Event{Kind: obs.EvMeshShrink,
 				Detail: fmt.Sprintf("%dx%d->%dx%d", uReq, vReq, u, v)})
 		}
 	}
@@ -168,7 +168,7 @@ func (s *solver) fillTile(t rect, trs, tcs []int, meshRows, meshCols []kernel.Ed
 	if err := siteFillTile.Hit(); err != nil {
 		return err
 	}
-	ft := s.tr.Begin()
+	ft := s.opt.run.Trace.Begin()
 	r0, r1 := trs[ti], trs[ti+1]
 	c0, c1 := tcs[tj], tcs[tj+1]
 	segRows, segCols := r1-r0, c1-c0
@@ -199,7 +199,7 @@ func (s *solver) fillTile(t rect, trs, tcs []int, meshRows, meshCols []kernel.Ed
 		}
 	}
 	s.c.AddFillTile()
-	s.tr.End(obs.SpanFillTile, obs.CatWavefront, ft,
+	s.opt.run.Trace.End(obs.SpanFillTile, obs.CatWavefront, ft,
 		obs.Tags{Rows: segRows, Cols: segCols, Phase: phase, Worker: worker + 1})
 	return nil
 }
@@ -252,12 +252,12 @@ func (s *solver) fillRectParallel(ra, rb []byte, top, left kernel.Edge, rt kerne
 			if err := siteFillTile.Hit(); err != nil {
 				return err
 			}
-			ft := s.tr.Begin()
+			ft := s.opt.run.Trace.Begin()
 			if err := s.k.FillRegion(ra, rb, rt, trs[ti], trs[ti+1], tcs[tj], tcs[tj+1]); err != nil {
 				return err
 			}
 			s.c.AddFillTile()
-			s.tr.End(obs.SpanFillTile, obs.CatWavefront, ft, obs.Tags{
+			s.opt.run.Trace.End(obs.SpanFillTile, obs.CatWavefront, ft, obs.Tags{
 				Rows: trs[ti+1] - trs[ti], Cols: tcs[tj+1] - tcs[tj],
 				Phase: ph.PhaseOfDiagonal(ti+tj, nd), Worker: w + 1,
 			})

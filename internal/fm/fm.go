@@ -97,7 +97,7 @@ func alignModel(a, b *seq.Sequence, m *scoring.Matrix, mod kernel.Model, budget 
 
 // Score computes only the optimal global score, still using the full matrix
 // (FindScore phase of the FM algorithm). Exposed for tests comparing phase
-// costs; prefer lastrow.Score for linear-space scoring.
+// costs; prefer kernel.Kernel.Score for linear-space scoring.
 func Score(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget *memory.Budget, c *stats.Counters) (int64, error) {
 	res, err := Align(a, b, m, gap, budget, c)
 	if err != nil {

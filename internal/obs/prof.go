@@ -7,16 +7,14 @@ package obs
 // lightweight continuous-capture sampler of process-level deltas.
 //
 // Labelling is gated behind one atomic flag (SetProfLabels): disabled — the
-// library default — ProfPhaseBegin costs one atomic load and allocates
-// nothing (AllocsPerRun-guarded like the disabled Trace and fault sites).
-// Label brackets are applied at phase granularity (a handful per alignment),
-// never inside tile or cell loops.
+// library default — the label half of Run.Phase costs one atomic load and
+// allocates nothing (AllocsPerRun-guarded like the disabled Trace and fault
+// sites). Label brackets are applied at phase granularity (a handful per
+// alignment), never inside tile or cell loops.
 
 import (
-	"context"
 	"runtime"
 	"runtime/metrics"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,54 +28,6 @@ func SetProfLabels(on bool) { profLabelsOn.Store(on) }
 
 // ProfLabelsEnabled reports whether label attribution is on.
 func ProfLabelsEnabled() bool { return profLabelsOn.Load() }
-
-// ProfSpan is the in-flight state of one labelled phase, returned by
-// ProfPhaseBegin and closed by End. The zero value (labels disabled) is a
-// no-op. Passed by value; never allocates on the disabled path.
-type ProfSpan struct {
-	prev, lc       context.Context
-	start          time.Time
-	backend, phase string
-}
-
-// Context returns the labelled context installed by ProfPhaseBegin, for
-// threading into nested phases (their End then restores this span's labels,
-// not the job's). fallback is returned when the span is a disabled no-op.
-func (s ProfSpan) Context(fallback context.Context) context.Context {
-	if s.lc == nil {
-		return fallback
-	}
-	return s.lc
-}
-
-// ProfPhaseBegin attaches {backend, phase} pprof labels to the calling
-// goroutine, merging with the labels of base (pass the labelled context
-// threaded from the engine worker so job_id/mode survive; nil means no outer
-// labels). The returned span must be closed with End on the same goroutine.
-//
-// Goroutines spawned while the labels are set (e.g. parallel fill workers)
-// inherit them.
-func ProfPhaseBegin(base context.Context, backend, phase string) ProfSpan {
-	if !profLabelsOn.Load() {
-		return ProfSpan{}
-	}
-	if base == nil {
-		base = context.Background()
-	}
-	lc := pprof.WithLabels(base, pprof.Labels("backend", backend, "phase", phase))
-	pprof.SetGoroutineLabels(lc)
-	return ProfSpan{prev: base, lc: lc, start: time.Now(), backend: backend, phase: phase}
-}
-
-// End restores the labels active before the matching ProfPhaseBegin and
-// charges the phase's wall time to the (backend, phase) accumulator.
-func (s ProfSpan) End() {
-	if s.prev == nil {
-		return
-	}
-	pprof.SetGoroutineLabels(s.prev)
-	addPhaseTime(s.backend, s.phase, time.Since(s.start))
-}
 
 // phaseTimes accumulates wall-clock per (backend, phase); the server drains
 // it into fastlsa_prof_cpu_seconds_total at scrape time.

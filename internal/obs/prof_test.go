@@ -7,37 +7,37 @@ import (
 	"time"
 )
 
-// Labels disabled is the library default, so ProfPhaseBegin/End must cost
-// nothing on that path — one atomic load, no allocation (same contract as
-// the nil Recorder and disabled Trace).
+// Labels disabled is the library default, so a zero Run's Phase/End must
+// cost nothing on that path — one atomic load, no clock read, no allocation
+// (same contract as the nil Recorder and disabled Trace).
 func TestProfPhaseDisabledDoesNotAllocate(t *testing.T) {
 	SetProfLabels(false)
 	if allocs := testing.AllocsPerRun(200, func() {
-		ps := ProfPhaseBegin(nil, "fastlsa", SpanGridFill)
-		ps.End()
+		ph := Run{}.Phase(CatFastLSA, SpanGridFill, Tags{})
+		ph.End()
 	}); allocs != 0 {
-		t.Errorf("disabled ProfPhaseBegin/End allocates %v per call, want 0", allocs)
+		t.Errorf("disabled Run.Phase/End allocates %v per call, want 0", allocs)
 	}
 }
 
 func TestProfPhaseDisabledContextFallback(t *testing.T) {
 	SetProfLabels(false)
-	ps := ProfPhaseBegin(nil, "wfa", SpanWFABi)
-	fallback := context.Background()
-	if got := ps.Context(fallback); got != fallback {
-		t.Errorf("disabled span Context = %v, want the fallback", got)
+	base := context.Background()
+	ph := Run{Labels: base}.Phase(CatWFA, SpanWFABi, Tags{})
+	if got := ph.Run().Labels; got != base {
+		t.Errorf("disabled phase's nested Labels = %v, want the run's base", got)
 	}
-	ps.End() // must be a no-op, not a panic
+	ph.End() // must be a no-op, not a panic
 }
 
 func TestProfPhaseSetsLabels(t *testing.T) {
 	SetProfLabels(true)
 	defer SetProfLabels(false)
 
-	ps := ProfPhaseBegin(nil, "fastlsa", SpanGridFill)
-	lc := ps.Context(nil)
+	ph := Run{}.Phase(CatFastLSA, SpanGridFill, Tags{})
+	lc := ph.Run().Labels
 	if lc == nil {
-		t.Fatal("enabled span returned a nil labelled context")
+		t.Fatal("enabled phase returned a nil labelled context")
 	}
 	if v, ok := pprof.Label(lc, "backend"); !ok || v != "fastlsa" {
 		t.Errorf("backend label = %q (ok=%v), want fastlsa", v, ok)
@@ -45,7 +45,7 @@ func TestProfPhaseSetsLabels(t *testing.T) {
 	if v, ok := pprof.Label(lc, "phase"); !ok || v != SpanGridFill {
 		t.Errorf("phase label = %q (ok=%v), want %s", v, ok, SpanGridFill)
 	}
-	ps.End()
+	ph.End()
 }
 
 // Nested phases must restore the *outer phase's* labels on End, not the
@@ -54,15 +54,15 @@ func TestProfPhaseNestedRestore(t *testing.T) {
 	SetProfLabels(true)
 	defer SetProfLabels(false)
 
-	outer := ProfPhaseBegin(nil, "wfa", SpanWFABi)
-	inner := ProfPhaseBegin(outer.Context(nil), "wfa", SpanWFAFill)
-	if v, _ := pprof.Label(inner.Context(nil), "phase"); v != SpanWFAFill {
+	outer := Run{}.Phase(CatWFA, SpanWFABi, Tags{})
+	inner := outer.Run().Phase(CatWFA, SpanWFAFill, Tags{})
+	if v, _ := pprof.Label(inner.Run().Labels, "phase"); v != SpanWFAFill {
 		t.Errorf("inner phase label = %q, want %s", v, SpanWFAFill)
 	}
-	// The inner End restores inner.prev: when the caller threaded the outer
-	// span's context (as BiAlign does), that context carries the outer
-	// phase's labels, not the job's.
-	if v, _ := pprof.Label(inner.prev, "phase"); v != SpanWFABi {
+	// The inner End restores its run's base: opened from the outer phase's
+	// nested Run (as BiAlign does), that base carries the outer phase's
+	// labels, not the job's.
+	if v, _ := pprof.Label(inner.run.base(), "phase"); v != SpanWFABi {
 		t.Errorf("inner restore target phase label = %q, want %s", v, SpanWFABi)
 	}
 	inner.End()
@@ -75,9 +75,9 @@ func TestPhaseTimesAccumulate(t *testing.T) {
 
 	key := [2]string{"test-backend", "test-phase"}
 	before := PhaseTimes()[key]
-	ps := ProfPhaseBegin(nil, key[0], key[1])
+	ph := Run{}.Phase(key[0], key[1], Tags{})
 	time.Sleep(2 * time.Millisecond)
-	ps.End()
+	ph.End()
 	after := PhaseTimes()[key]
 	if after <= before {
 		t.Errorf("PhaseTimes[%v] did not grow: before %v, after %v", key, before, after)

@@ -128,7 +128,16 @@ func (r *Recorder) Add(e Event) {
 	if r == nil {
 		return
 	}
-	e.Offset = time.Since(r.epoch)
+	r.addAt(e, time.Now())
+}
+
+// addAt records e as happening at now (Phase.End's single clock read).
+// No-op on a nil receiver.
+func (r *Recorder) addAt(e Event, now time.Time) {
+	if r == nil {
+		return
+	}
+	e.Offset = now.Sub(r.epoch)
 	r.mu.Lock()
 	r.total++
 	switch {

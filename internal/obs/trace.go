@@ -4,8 +4,8 @@
 // and HTTP middleware for structured request logging with request IDs.
 //
 // Everything is standard library only, safe for concurrent use, and — like
-// stats.Counters — nil-receiver safe: an uninstrumented run passes a nil
-// *Trace through every layer and pays nothing, which is what keeps the DP
+// stats.Counters — nil-receiver safe: an uninstrumented run passes a zero
+// Run (nil *Trace) through every layer and pays nothing, which keeps the DP
 // fill hot paths allocation-free when tracing is off (pinned by the
 // benchmark guard in trace_test.go).
 package obs
@@ -26,7 +26,8 @@ const (
 	// SpanGeneralCase covers one FastLSA general-case split: the grid fill
 	// plus the recursive walk through the blocks the path crosses.
 	SpanGeneralCase = "general-case"
-	// SpanBaseCase covers one full-matrix base-case solve (fill + traceback).
+	// SpanBaseCase covers one full-matrix base-case fill; its traceback is
+	// the sibling SpanTraceback.
 	SpanBaseCase = "base-case"
 	// SpanGridFill covers one Fill Cache (sequential block loop or parallel
 	// wavefront, whichever ran).
@@ -126,7 +127,7 @@ type totalVal struct {
 }
 
 // Trace is a ring-buffered span recorder. Attach one to a run through
-// core.Options / fastlsa.Options; every method is safe for concurrent use
+// fastlsa.Options or an obs.Run; every method is safe for concurrent use
 // and nil-receiver safe, so the same code path serves traced and untraced
 // runs.
 //
@@ -191,7 +192,19 @@ func (t *Trace) End(name, cat string, start time.Duration, tags Tags) {
 	if t == nil {
 		return
 	}
-	dur := time.Since(t.epoch) - start
+	t.record(name, cat, start, time.Since(t.epoch)-start, tags)
+}
+
+// span records a span between two clock readings (Phase.End's single read).
+// No-op on a nil receiver.
+func (t *Trace) span(name, cat string, start, end time.Time, tags Tags) {
+	if t == nil {
+		return
+	}
+	t.record(name, cat, start.Sub(t.epoch), end.Sub(start), tags)
+}
+
+func (t *Trace) record(name, cat string, start, dur time.Duration, tags Tags) {
 	if dur < 0 {
 		dur = 0
 	}

@@ -500,9 +500,9 @@ func (r *biRunner) solve(a, ar, b, br []byte, S int) error {
 	if S <= biCutoff(r.pen) {
 		// Trace and Recorder are deliberately not threaded: the many base-case
 		// sub-alignments would swamp both; the whole BiAlign run is one span /
-		// phase event at the top. Prof is threaded so the sub-runs' labels nest
-		// under (and restore to) the wfa-biwfa labels.
-		path, cost, err := alignFull(a, b, r.pen, Options{Budget: r.opt.Budget, Counters: r.opt.Counters, Prof: r.opt.Prof})
+		// phase event at the top. Labels are threaded so the sub-runs' labels
+		// nest under (and restore to) the wfa-biwfa labels.
+		path, cost, err := alignFull(a, b, r.pen, Options{Budget: r.opt.Budget, Counters: r.opt.Counters, Obs: obs.Run{Labels: r.opt.Obs.Labels}})
 		if err != nil {
 			return err
 		}
@@ -575,10 +575,8 @@ func BiAlign(a, b *seq.Sequence, mat *scoring.Matrix, gap scoring.Gap, opt Optio
 		return fm.Result{Score: int64(gap.Cost(m + n)), Path: gapPath(m, n)}, nil
 	}
 
-	start := opt.Trace.Begin()
-	ps := obs.ProfPhaseBegin(opt.Prof, "wfa", obs.SpanWFABi)
-	defer ps.End()
-	t0 := phaseStart(opt)
+	ph := opt.Obs.Phase(obs.CatWFA, obs.SpanWFABi, obs.Tags{Rows: m, Cols: n})
+	defer ph.End()
 	S, err := biScore(ra, rb, pen, opt)
 	if err != nil {
 		return fm.Result{}, err
@@ -586,7 +584,7 @@ func BiAlign(a, b *seq.Sequence, mat *scoring.Matrix, gap scoring.Gap, opt Optio
 	// The reversed copies are O(m+n) input scratch, uncharged like the
 	// linear-space kernels' row buffers; subproblems slice them.
 	inner := opt
-	inner.Prof = ps.Context(opt.Prof)
+	inner.Obs = ph.Run()
 	r := &biRunner{
 		pen: pen, mat: mat, gap: gap, alphabet: a.Alphabet, opt: inner,
 		moves: make([]align.Move, 0, m+n),
@@ -594,8 +592,6 @@ func BiAlign(a, b *seq.Sequence, mat *scoring.Matrix, gap scoring.Gap, opt Optio
 	if err := r.solve(ra, reversed(ra), rb, reversed(rb), S); err != nil {
 		return fm.Result{}, err
 	}
-	phaseEvent(opt, obs.SpanWFABi, t0)
-	opt.Trace.End(obs.SpanWFABi, obs.CatWFA, start, obs.Tags{Rows: m, Cols: n})
 	score, err := pen.Score(m, n, int64(S))
 	if err != nil {
 		return fm.Result{}, err

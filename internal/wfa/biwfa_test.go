@@ -256,7 +256,7 @@ func TestBiAlignTraceSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace(0)
-	if _, err := wfa.BiAlign(a, b, scoring.DNASimple, scoring.Linear(-4), wfa.Options{Trace: tr}); err != nil {
+	if _, err := wfa.BiAlign(a, b, scoring.DNASimple, scoring.Linear(-4), wfa.Options{Obs: obs.Run{Trace: tr}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range tr.Spans() {
