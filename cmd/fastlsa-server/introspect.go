@@ -90,12 +90,16 @@ func (ir *incidentRing) snapshot() []incident {
 
 // observeRequest is the completion hook behind every route (wired through
 // obs.MiddlewareObserved): it feeds the SLO burn-rate accounting and captures
-// 5xx responses — overload sheds included — into the incident ring.
+// 5xx responses — overload sheds included — into the incident ring. An
+// error-burn shed is no error-rate sample: counting it would hold the burn,
+// and so the shedding, up while synchronous traffic keeps arriving.
 func (s *server) observeRequest(sm obs.RequestSample) {
 	if sm.Route == "POST /v1/align" {
 		s.slos.Observe(sloAlign, sm.Duration > s.cfg.SLOAlignP99)
 	}
-	s.slos.Observe(sloErrors, sm.Status >= 500)
+	if sm.Shed != shedErrorBurn {
+		s.slos.Observe(sloErrors, sm.Status >= 500)
+	}
 	if sm.Status >= 500 {
 		s.incidents.add(incident{
 			At: time.Now(), Kind: "http-5xx",

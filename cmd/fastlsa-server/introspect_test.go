@@ -389,6 +389,9 @@ func TestBreakerBurnSheds(t *testing.T) {
 			if resp.Header.Get("Retry-After") == "" {
 				t.Error("burn-shed 503 lacks Retry-After")
 			}
+			if out["reason"] != shedErrorBurn {
+				t.Errorf("burn-shed 503 reason = %v, want %s", out["reason"], shedErrorBurn)
+			}
 			if hint, _ := out["retryAfterMs"].(float64); hint <= 0 {
 				t.Errorf("burn-shed 503 retryAfterMs = %v, want > 0", out["retryAfterMs"])
 			}
@@ -401,13 +404,70 @@ func TestBreakerBurnSheds(t *testing.T) {
 	}
 }
 
+// TestErrorBurnShedsAreNotErrorSamples: the 503s the error-burn trigger
+// sheds must not count against the error-rate objective, or a tripped
+// trigger keeps the burn (and itself) up while sync traffic continues.
+func TestErrorBurnShedsAreNotErrorSamples(t *testing.T) {
+	if err := fault.Arm("engine.worker:error", 1); err != nil {
+		t.Fatalf("Arm: %v", err)
+	}
+	defer fault.Disarm()
+
+	srv := httptest.NewServer(newServer(serverConfig{DefaultWorkers: 1, BreakerBurn: 2}))
+	defer srv.Close()
+	if resp, _ := postJSON(t, srv.URL+"/v1/align", alignBody); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("seed failure: status %d, want 500", resp.StatusCode)
+	}
+	fault.Disarm()
+	for i := 0; i < 9; i++ {
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	burn := func() float64 {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/slo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out sloResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range out.SLOs {
+			if r.Name != sloErrors {
+				continue
+			}
+			for _, w := range r.Windows {
+				if w.Window == "5m" {
+					return w.BurnRate
+				}
+			}
+		}
+		t.Fatalf("no %s 5m window in %+v", sloErrors, out)
+		return 0
+	}
+	before := burn()
+	for i := 0; i < 10; i++ {
+		if resp, out := postJSON(t, srv.URL+"/v1/align", alignBody); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("align %d: status %d, want a 503 shed (%v)", i, resp.StatusCode, out)
+		}
+	}
+	if after := burn(); after > before {
+		t.Fatalf("error-rate 5m burn rose from %.1f to %.1f across error-burn sheds", before, after)
+	}
+}
+
 // TestMetricsNewFamilies lints the whole exposition (scrapeMetrics enforces
 // the text format strictly) and pins the families this layer added: SLO burn
 // gauges, CPU attribution, runtime health and build info.
 func TestMetricsNewFamilies(t *testing.T) {
 	srv := httptest.NewServer(newServer(serverConfig{
 		DefaultWorkers: 1,
-		ProfLabels:     true,
 	}))
 	defer srv.Close()
 	defer obs.SetProfLabels(false) // newServer flipped the global switch

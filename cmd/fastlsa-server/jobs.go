@@ -110,11 +110,8 @@ func viewOf(info fastlsa.JobInfo, result any) jobView {
 // journalled before submission and an Idempotency-Key header makes retries
 // of the same submission land on the existing job (docs/DURABILITY.md).
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.recovering.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"error": "server is recovering journalled jobs", "phase": "recovering",
-		})
+	if err := s.admit(true); err != nil {
+		s.writeTaskErr(w, err)
 		return
 	}
 	var req jobRequest

@@ -22,15 +22,15 @@
 //	GET    /v1/debug/incidents   recent 5xx responses and failed jobs
 //
 // All alignment work — synchronous or async — runs through a bounded job
-// engine: a saturated queue rejects with 503 rather than queueing without
-// bound, and cancelled or abandoned requests stop consuming CPU promptly.
-// Overload 503s carry a Retry-After header and retryAfterMs JSON hint, and a
-// breaker sheds synchronous requests while the p95 queue wait is over
-// -breaker-wait (async submissions still queue). Jobs and batches accept a
-// "retry" policy that re-runs attempts lost to transient faults. On
-// SIGINT/SIGTERM /readyz starts failing, the server stops accepting work,
-// drains in-flight jobs until the drain deadline, then cancels the remainder
-// and exits.
+// engine, and cancelled or abandoned requests stop consuming CPU promptly.
+// One admission decision sheds overload: a 503 with a Retry-After header, a
+// {"error","reason","retryAfterMs"} body and a fastlsa_shed_total{reason}
+// count, for the reasons queue-full, draining, recovering, queue-wait
+// (-breaker-wait) and error-burn (-breaker-burn); see docs/RESILIENCE.md.
+// Jobs and batches accept a "retry" policy that re-runs attempts lost to
+// transient faults. On SIGINT/SIGTERM /readyz starts failing, the server
+// stops accepting work, drains in-flight jobs until the drain deadline, then
+// cancels the remainder and exits.
 //
 // Durability: -data-dir enables the durable job journal — every async job is
 // recorded in a CRC-framed append-only WAL (accepted with its full request,
@@ -62,10 +62,10 @@
 // carries a bounded flight recorder (GET /v1/jobs/{id}/events); recent 5xx
 // responses and failed jobs land in the incident ring at
 // /v1/debug/incidents. -slo-align-p99 and -slo-error-rate declare the
-// objectives behind GET /v1/slo; -breaker-burn couples the overload breaker
-// to the error-rate fast burn. -prof-labels (on by default) attaches pprof
-// labels (job_id, backend, phase) to alignment work so CPU profiles
-// attribute samples per solver phase; -prof-interval starts a continuous
+// objectives behind GET /v1/slo; -breaker-burn sheds synchronous requests
+// while the error-rate fast burn is at or over it. Alignment work always
+// carries pprof labels (job_id, backend, phase), so CPU profiles attribute
+// samples per solver phase; -prof-interval starts a continuous
 // runtime-capture loop. -debug-addr serves net/http/pprof and expvar on a
 // separate listener, so profiling stays off the public port. See
 // docs/OBSERVABILITY.md.
@@ -114,7 +114,6 @@ func main() {
 		maxResults = flag.Int("max-results", 0, "retained jobs that keep their full result payload (0 = 64)")
 		maxBatch   = flag.Int("max-batch", 64, "maximum pairs per batch request")
 		brkWait    = flag.Duration("breaker-wait", 5*time.Second, "p95 queue wait that trips the overload breaker (negative disables)")
-		brkCool    = flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker sheds before re-measuring")
 		drainSec   = flag.Int("drain", 30, "shutdown drain deadline in seconds")
 		debugAddr  = flag.String("debug-addr", "", "listen address for pprof and expvar (empty = disabled)")
 		quiet      = flag.Bool("quiet", false, "disable per-request access logs")
@@ -122,7 +121,6 @@ func main() {
 		sloAlignP99  = flag.Duration("slo-align-p99", time.Second, "align-p99 SLO latency threshold (99% of POST /v1/align under this; 0 disables)")
 		sloErrRate   = flag.Float64("slo-error-rate", 0.001, "error-rate SLO: allowed fraction of 5xx responses (0 disables)")
 		brkBurn      = flag.Float64("breaker-burn", 0, "error-rate fast-burn rate that also sheds synchronous requests (0 disables)")
-		profLabels   = flag.Bool("prof-labels", true, "attach pprof labels (job_id, backend, phase) to alignment work")
 		profInterval = flag.Duration("prof-interval", 0, "continuous runtime-capture sampling interval (0 disables)")
 
 		dataDir      = flag.String("data-dir", "", "directory for the durable job journal; async jobs survive crashes and restarts (empty = in-memory only)")
@@ -191,7 +189,6 @@ func main() {
 		MaxRetainedResults: *maxResults,
 		MaxBatch:           *maxBatch,
 		BreakerWait:        *brkWait,
-		BreakerCooldown:    *brkCool,
 		Logger:             logger,
 		Corpus:             corpus,
 		SearchRate:         *searchRate,
@@ -200,7 +197,6 @@ func main() {
 		SLOAlignP99:        alignSLO,
 		SLOErrorRate:       errSLO,
 		BreakerBurn:        *brkBurn,
-		ProfLabels:         *profLabels,
 		ProfInterval:       *profInterval,
 		DataDir:            *dataDir,
 		JournalFsync:       *journalFsync,

@@ -73,11 +73,7 @@ func (l *rateLimiter) allow(key string, now time.Time) (bool, time.Duration) {
 		return true, 0
 	}
 	l.limited.Add(1)
-	wait := time.Duration((1 - b.tokens) / l.rate * float64(time.Second))
-	if wait < time.Second {
-		wait = time.Second // Retry-After has whole-second precision
-	}
-	return false, wait
+	return false, time.Duration((1 - b.tokens) / l.rate * float64(time.Second))
 }
 
 // evictStalest drops the bucket with the oldest refill time. Called with the

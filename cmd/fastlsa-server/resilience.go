@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fastlsa"
 	"fastlsa/internal/fault"
+	"fastlsa/internal/obs"
 )
 
 // siteDecode is the fault-injection point on request-body decoding: armed it
@@ -28,40 +30,97 @@ func decodeJSON(r *http.Request, v any) error {
 	return json.NewDecoder(r.Body).Decode(v)
 }
 
-// writeTaskErr maps a task/submission error to its HTTP response. 503s from
-// overload (a full queue, an open breaker, a draining engine) carry a
-// Retry-After header and a retryAfterMs JSON hint so well-behaved clients
-// back off instead of hammering a saturated service; client disconnects
-// (context.Canceled with the client gone) get no hint — nobody is listening.
-func (s *server) writeTaskErr(w http.ResponseWriter, err error) {
-	status := errStatus(err)
-	if status == http.StatusServiceUnavailable &&
-		(errors.Is(err, fastlsa.ErrQueueFull) || errors.Is(err, fastlsa.ErrEngineClosed)) {
-		hint := s.retryAfterHint()
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int64((hint+time.Second-1)/time.Second)))
-		writeJSON(w, status, apiError{Error: err.Error(), RetryAfterMs: hint.Milliseconds()})
-		return
-	}
-	writeErr(w, status, "%v", err)
+// Shed reasons: the "reason" field of every overload 503 and the label of
+// fastlsa_shed_total. admit decides the first three before a request reaches
+// the engine; the engine's own rejections map onto the last two.
+const (
+	shedRecovering = "recovering" // async only: journal replay still running
+	shedQueueWait  = "queue-wait" // sync only: the p95 queue-wait breaker is open
+	shedErrorBurn  = "error-burn" // sync only: error-rate fast burn >= -breaker-burn
+	shedQueueFull  = "queue-full" // engine: ErrQueueFull
+	shedDraining   = "draining"   // engine: ErrEngineClosed
+)
+
+// shedError is an overload rejection. retryAfter is the reason's own lower
+// bound on the Retry-After hint (0 leaves it to queue pressure).
+type shedError struct {
+	reason     string
+	retryAfter time.Duration
+	msg        string
 }
 
-// retryAfterHint estimates how long a shed client should wait before
-// retrying: the breaker's remaining cooldown when it is open, otherwise a
-// queue-pressure guess (half a second per queued job), clamped to [1s, 10s].
-func (s *server) retryAfterHint() time.Duration {
-	hint := time.Second
-	if rem := s.breaker.remaining(time.Now()); rem > hint {
-		hint = rem
+func (e *shedError) Error() string { return e.msg }
+
+// admit is the server's one admission decision, taken before a request is
+// submitted to the engine. async marks POST /v1/jobs, whose callers opted
+// into queueing: only a running journal replay turns them away. Synchronous
+// requests are shed while the queue-wait breaker is open or the error budget
+// burns at or over -breaker-burn. /v1/batch, whose callers also opted into
+// queueing, takes no decision here. The engine itself rejects a full queue or
+// a draining engine at submission (see shedOf).
+func (s *server) admit(async bool) error {
+	if async {
+		if s.recovering.Load() {
+			return &shedError{shedRecovering, 0, "server is recovering journalled jobs"}
+		}
+		return nil
 	}
-	if queued := s.eng.Stats().Queued; queued > 0 {
-		if d := time.Duration(queued) * 500 * time.Millisecond; d > hint {
-			hint = d
+	if rem := s.breaker.remaining(time.Now()); rem > 0 {
+		return &shedError{shedQueueWait, rem,
+			fmt.Sprintf("overload breaker open (p95 queue wait over %s)", s.cfg.BreakerWait)}
+	}
+	if limit := s.cfg.BreakerBurn; limit > 0 {
+		if burn := s.slos.Burn(sloErrors, obs.SLOShortWindow); burn >= limit {
+			return &shedError{shedErrorBurn, 0,
+				fmt.Sprintf("error-rate fast burn %.4g at or over %.4g", burn, limit)}
 		}
 	}
-	if hint > 10*time.Second {
-		hint = 10 * time.Second
+	return nil
+}
+
+// shedOf reports the overload rejection err carries: an admit decision, or
+// the engine's ErrQueueFull / ErrEngineClosed. nil for any other error.
+func shedOf(err error) *shedError {
+	var se *shedError
+	switch {
+	case errors.As(err, &se):
+		return se
+	case errors.Is(err, fastlsa.ErrQueueFull):
+		return &shedError{reason: shedQueueFull, msg: err.Error()}
+	case errors.Is(err, fastlsa.ErrEngineClosed):
+		return &shedError{reason: shedDraining, msg: err.Error()}
 	}
-	return hint
+	return nil
+}
+
+// writeTaskErr maps an admission, submission or task error to its HTTP
+// response. Overload gets the one shed response: 503 with a Retry-After
+// header and a {"error","reason","retryAfterMs"} body, counted in
+// fastlsa_shed_total. Its hint is the reason's own bound or a queue-pressure
+// guess (half a second per queued job), whichever is longer, clamped to
+// [1s, 10s].
+func (s *server) writeTaskErr(w http.ResponseWriter, err error) {
+	se := shedOf(err)
+	if se == nil {
+		writeErr(w, errStatus(err), "%v", err)
+		return
+	}
+	hint := max(time.Second, se.retryAfter, time.Duration(s.eng.Stats().Queued)*500*time.Millisecond)
+	hint = min(hint, 10*time.Second)
+	s.shedTotal.With(se.reason).Inc()
+	obs.MarkShed(w, se.reason)
+	body := apiError{Error: se.msg, Reason: se.reason, RetryAfterMs: hint.Milliseconds()}
+	if se.reason == shedRecovering {
+		body.Phase = "recovering" // the field /readyz reports during replay
+	}
+	w.Header().Set("Retry-After", retryAfterSeconds(hint))
+	writeJSON(w, http.StatusServiceUnavailable, body)
+}
+
+// retryAfterSeconds formats a wait as a Retry-After value: whole seconds,
+// rounded up so a client never retries early, and at least 1.
+func retryAfterSeconds(d time.Duration) string {
+	return strconv.FormatInt(max(1, int64((d+time.Second-1)/time.Second)), 10)
 }
 
 // beginDrain flips the readiness probe to failing. main calls it the moment
@@ -88,24 +147,14 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// breaker sheds synchronous requests when the p95 queue wait over a sliding
-// window of job pickups crosses a threshold: under that much queueing a
-// synchronous caller would mostly hold a connection open to receive an
-// eventual timeout, so failing fast with Retry-After is kinder to both
-// sides. Async submissions (/v1/jobs, /v1/batch) are not shed — their
-// callers opted into queueing. The breaker stays open for a cooldown, then
-// closes and re-measures against a fresh window.
+// breaker opens when the p95 queue wait over a sliding window of job
+// pickups crosses a threshold: under that much queueing a synchronous caller
+// would mostly hold a connection open to receive an eventual timeout, so
+// admit sheds it with Retry-After instead. The breaker stays open for a
+// cooldown, then closes and re-measures against a fresh window.
 type breaker struct {
-	threshold time.Duration // <= 0 disables the queue-wait breaker
+	threshold time.Duration // <= 0 disables the breaker
 	cooldown  time.Duration
-
-	// burn/burnLimit optionally couple the breaker to the SLO layer
-	// (-breaker-burn): while burn() — the error-rate objective's fast-window
-	// burn rate — is at or over burnLimit, synchronous requests are shed even
-	// though queue waits look healthy. An error storm consumes the error
-	// budget long before it backs up the queue.
-	burn      func() float64
-	burnLimit float64 // <= 0 disables the burn coupling
 
 	mu        sync.Mutex
 	window    []time.Duration // ring of recent queue waits
@@ -114,21 +163,12 @@ type breaker struct {
 	openUntil time.Time
 
 	trips atomic.Int64
-	shed  atomic.Int64
 }
 
-func newBreaker(threshold, cooldown time.Duration, window int) *breaker {
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
-	if window <= 0 {
-		window = 128
-	}
-	return &breaker{
-		threshold: threshold,
-		cooldown:  cooldown,
-		window:    make([]time.Duration, window),
-	}
+// newBreaker returns a breaker that sheds for 5s per trip and judges the p95
+// over the last 128 pickups.
+func newBreaker(threshold time.Duration) *breaker {
+	return &breaker{threshold: threshold, cooldown: 5 * time.Second, window: make([]time.Duration, 128)}
 }
 
 // observe records one job pickup's queue wait and trips the breaker when the
@@ -176,27 +216,6 @@ func (b *breaker) p95Locked() time.Duration {
 	}
 	sort.Slice(samples, func(i, k int) bool { return samples[i] < samples[k] })
 	return samples[(b.n-1)*95/100]
-}
-
-// allow reports whether a synchronous request may proceed, counting sheds.
-// Shedding triggers on either signal: an open queue-wait breaker, or the
-// SLO fast-burn coupling reporting the error budget burning at or over
-// burnLimit.
-func (b *breaker) allow(now time.Time) bool {
-	if b.burnLimit > 0 && b.burn != nil && b.burn() >= b.burnLimit {
-		b.shed.Add(1)
-		return false
-	}
-	if b.threshold <= 0 {
-		return true
-	}
-	b.mu.Lock()
-	open := now.Before(b.openUntil)
-	b.mu.Unlock()
-	if open {
-		b.shed.Add(1)
-	}
-	return !open
 }
 
 // remaining reports how much cooldown is left (0 when closed).

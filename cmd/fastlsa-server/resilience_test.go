@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,8 +10,123 @@ import (
 	"testing"
 	"time"
 
+	"fastlsa"
 	"fastlsa/internal/fault"
 )
+
+// TestAdmissionReasons pins the one shed path: for each reason, every
+// endpoint it applies to answers 503 with a Retry-After header, the reason
+// and a retryAfterMs hint in the body, and one more
+// fastlsa_shed_total{reason} sample; the endpoints a reason exempts answer
+// normally.
+func TestAdmissionReasons(t *testing.T) {
+	corpus, query, _ := testCorpus(t, 20)
+	type request struct {
+		method, path, body string
+		ok                 int // status when not shed
+	}
+	var (
+		align  = request{"POST", "/v1/align", alignBody, http.StatusOK}
+		msa    = request{"POST", "/v1/msa", `{"sequences":[{"letters":"ACGTACGT"},{"letters":"ACGAACGT"}],"matrix":"dna","gap":{"extend":-4}}`, http.StatusOK}
+		search = request{"POST", "/v1/search", `{"query":"ACGTACGT","database":[{"letters":"ACGTACGA"}],"matrix":"dna","gap":{"extend":-4}}`, http.StatusOK}
+		stream = request{"GET", "/v1/search?topK=1&q=" + query.String(), "", http.StatusOK}
+		job    = request{"POST", "/v1/jobs", paperJob, http.StatusAccepted}
+		batch  = request{"POST", "/v1/batch", `{"matrix":"table1","gap":{"extend":-10},"pairs":[{"a":"TDVLKAD","b":"TLDKLLKD"}]}`, http.StatusOK}
+	)
+	syncReqs := []request{align, msa, search, stream}
+	allReqs := append([]request{job, batch}, syncReqs...)
+
+	cases := []struct {
+		reason string
+		cfg    serverConfig
+		setup  func(t *testing.T, s *server)
+		shed   []request
+		exempt []request
+	}{
+		{shedRecovering, serverConfig{}, func(t *testing.T, s *server) {
+			s.recovering.Store(true)
+		}, []request{job}, append([]request{batch}, syncReqs...)},
+		{shedQueueWait, serverConfig{BreakerWait: time.Millisecond}, func(t *testing.T, s *server) {
+			for i := 0; i < 128; i++ {
+				s.breaker.observe(time.Second)
+			}
+		}, syncReqs, []request{job, batch}},
+		{shedErrorBurn, serverConfig{BreakerBurn: 2}, func(t *testing.T, s *server) {
+			s.slos.Observe(sloErrors, true) // one error in one sample: burn 1000
+		}, syncReqs, []request{job, batch}},
+		{shedQueueFull, serverConfig{EngineWorkers: 1, QueueDepth: 1}, func(t *testing.T, s *server) {
+			release := make(chan struct{})
+			t.Cleanup(func() { close(release) })
+			block := func(ctx context.Context) (any, error) {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				return nil, nil
+			}
+			// Full means one job running and one queued: a rejection while
+			// the first still sits in the queue would not last.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				st := s.eng.Stats()
+				if st.Running == 1 && st.Queued == 1 {
+					break
+				}
+				if st.Running+st.Queued < 2 {
+					if _, err := s.eng.SubmitFunc("block", block, fastlsa.JobOptions{}); err != nil && st.Queued == 0 {
+						t.Fatalf("empty queue rejected a job: %v", err)
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("queue never saturated: %+v", st)
+				}
+			}
+		}, allReqs, nil},
+		{shedDraining, serverConfig{}, func(t *testing.T, s *server) {
+			if err := s.eng.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}, allReqs, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.reason, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.DefaultWorkers, cfg.Corpus = 1, corpus
+			app := newServer(cfg)
+			srv := httptest.NewServer(app)
+			defer srv.Close()
+			tc.setup(t, app)
+
+			series := `fastlsa_shed_total{reason="` + tc.reason + `"}`
+			for _, rq := range tc.shed {
+				before := scrapeMetrics(t, srv.URL)[series]
+				resp, out := doJSON(t, rq.method, srv.URL+rq.path, rq.body)
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("%s %s: status %d, want 503 (%v)", rq.method, rq.path, resp.StatusCode, out)
+				}
+				if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+					t.Errorf("%s %s: Retry-After %q, want whole seconds >= 1", rq.method, rq.path, resp.Header.Get("Retry-After"))
+				}
+				if out["reason"] != tc.reason {
+					t.Errorf("%s %s: reason %v, want %s", rq.method, rq.path, out["reason"], tc.reason)
+				}
+				if ms, _ := out["retryAfterMs"].(float64); ms < 1000 {
+					t.Errorf("%s %s: retryAfterMs %v, want >= 1000", rq.method, rq.path, out["retryAfterMs"])
+				}
+				if tc.reason == shedRecovering && out["phase"] != "recovering" {
+					t.Errorf("%s %s: phase %v, want recovering", rq.method, rq.path, out["phase"])
+				}
+				if got := scrapeMetrics(t, srv.URL)[series]; got != before+1 {
+					t.Errorf("%s %s: %s %v -> %v, want +1", rq.method, rq.path, series, before, got)
+				}
+			}
+			for _, rq := range tc.exempt {
+				if resp, out := doJSON(t, rq.method, srv.URL+rq.path, rq.body); resp.StatusCode != rq.ok {
+					t.Errorf("%s %s: status %d under %s, want %d (%v)", rq.method, rq.path, resp.StatusCode, tc.reason, rq.ok, out)
+				}
+			}
+		})
+	}
+}
 
 // TestRetryAfterOnQueueFull saturates a tiny engine and requires every
 // queue-full 503 to carry both the Retry-After header and the retryAfterMs
@@ -75,14 +191,16 @@ func TestReadyzFlipsDuringDrain(t *testing.T) {
 	}
 }
 
-// TestBreakerTripAndRecovery unit-tests the overload breaker: a window of
+// TestBreakerTripAndRecovery unit-tests the queue-wait breaker: a window of
 // unhealthy p95 queue waits trips it, sync requests shed while open, and it
 // closes after the cooldown.
 func TestBreakerTripAndRecovery(t *testing.T) {
-	b := newBreaker(10*time.Millisecond, 80*time.Millisecond, 16)
-	now := time.Now()
-	if !b.allow(now) {
-		t.Fatal("fresh breaker must be closed")
+	s := newServer(serverConfig{DefaultWorkers: 1, BreakerWait: 10 * time.Millisecond})
+	b := s.breaker
+	b.cooldown = 80 * time.Millisecond
+	b.window = make([]time.Duration, 16)
+	if err := s.admit(false); err != nil {
+		t.Fatalf("fresh breaker must be closed: %v", err)
 	}
 	for i := 0; i < 16; i++ {
 		b.observe(50 * time.Millisecond)
@@ -90,11 +208,13 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	if b.trips.Load() != 1 {
 		t.Fatalf("trips = %d after unhealthy window, want 1", b.trips.Load())
 	}
-	if b.allow(time.Now()) {
-		t.Fatal("tripped breaker must shed")
+	err := s.admit(false)
+	if se := shedOf(err); se == nil || se.reason != shedQueueWait {
+		t.Fatalf("tripped breaker must shed with reason %s, got %v", shedQueueWait, err)
 	}
-	if b.shed.Load() != 1 {
-		t.Fatalf("shed = %d, want 1", b.shed.Load())
+	s.writeTaskErr(httptest.NewRecorder(), err)
+	if got := s.shedTotal.With(shedQueueWait).Value(); got != 1 {
+		t.Fatalf("shed = %v, want 1", got)
 	}
 	if b.state() != 1 {
 		t.Fatalf("state = %v while open, want 1", b.state())
@@ -105,8 +225,8 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	// After the cooldown it closes and re-measures on a fresh window: a few
 	// healthy samples must not re-trip.
 	time.Sleep(100 * time.Millisecond)
-	if !b.allow(time.Now()) {
-		t.Fatal("breaker still open after cooldown")
+	if err := s.admit(false); err != nil {
+		t.Fatalf("breaker still open after cooldown: %v", err)
 	}
 	for i := 0; i < 16; i++ {
 		b.observe(time.Millisecond)
@@ -121,12 +241,12 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 
 // TestBreakerDisabled: a negative threshold disables shedding entirely.
 func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(-1, 0, 0)
+	s := newServer(serverConfig{DefaultWorkers: 1, BreakerWait: -1})
 	for i := 0; i < 200; i++ {
-		b.observe(time.Hour)
+		s.breaker.observe(time.Hour)
 	}
-	if !b.allow(time.Now()) {
-		t.Fatal("disabled breaker shed a request")
+	if err := s.admit(false); err != nil {
+		t.Fatalf("disabled breaker shed a request: %v", err)
 	}
 }
 
@@ -151,10 +271,13 @@ func TestBreakerShedsSyncRequests(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("shed response lacks Retry-After: %v", out)
 	}
+	if out["reason"] != shedQueueWait {
+		t.Fatalf("shed reason = %v, want %s", out["reason"], shedQueueWait)
+	}
 	if got := app.eng.Stats().Rejected; got != rejected {
 		t.Fatalf("shed request reached the engine (rejected %d -> %d)", rejected, got)
 	}
-	if app.breaker.shed.Load() == 0 {
+	if app.shedTotal.With(shedQueueWait).Value() == 0 {
 		t.Fatal("shed counter did not move")
 	}
 
@@ -210,7 +333,7 @@ func TestJobRetrySurfacesAttempts(t *testing.T) {
 	for _, metric := range []string{
 		"fastlsa_engine_retries_total",
 		"fastlsa_breaker_state",
-		"fastlsa_breaker_shed_total",
+		"fastlsa_shed_total",
 		"fastlsa_engine_queue_wait_seconds",
 	} {
 		if !strings.Contains(string(body), metric) {

@@ -45,12 +45,6 @@ type serverConfig struct {
 	// breaker shedding synchronous requests (0 selects 5s; negative disables
 	// the breaker).
 	BreakerWait time.Duration
-	// BreakerCooldown is how long a tripped breaker sheds before it closes
-	// and re-measures (0 selects 5s).
-	BreakerCooldown time.Duration
-	// BreakerWindow is the sliding sample window the p95 is computed over
-	// (0 selects 128 pickups).
-	BreakerWindow int
 	// Logger, when non-nil, receives one structured access-log record per
 	// request (request id, route, status, latency).
 	Logger *slog.Logger
@@ -74,13 +68,10 @@ type serverConfig struct {
 	// SLOErrorRate is the allowed fraction of 5xx responses under the
 	// error-rate objective (0 selects 0.001; negative disables it).
 	SLOErrorRate float64
-	// BreakerBurn, when > 0, also trips the overload breaker's shedding when
-	// the error-rate objective's fast (5m) burn rate reaches this value, so
-	// an error storm sheds synchronous load even while queue waits look fine.
+	// BreakerBurn, when > 0, sheds synchronous requests (reason error-burn)
+	// while the error-rate objective's fast (5m) burn rate is at or over this
+	// value, so an error storm sheds load even while queue waits look fine.
 	BreakerBurn float64
-	// ProfLabels switches pprof label attribution (job_id/backend/phase) on
-	// for work run through this server (process-wide; see obs.SetProfLabels).
-	ProfLabels bool
 	// ProfInterval, when > 0, starts the continuous runtime-capture loop: one
 	// process snapshot (goroutines, heap, GC, CPU) per interval into a ring
 	// served by GET /v1/debug/incidents alongside the incidents.
@@ -149,10 +140,11 @@ type server struct {
 	// routing reason, so dashboards can watch how often AlgoAuto picks the
 	// WFA kernel versus FastLSA (docs/BACKENDS.md).
 	backendTotal *obs.CounterVec
-	// queueWait tracks per-attempt queue waits; breaker sheds synchronous
-	// requests when its p95 crosses cfg.BreakerWait (see resilience.go).
+	// queueWait tracks per-attempt queue waits, breaker their p95, shedTotal
+	// the overload 503s by reason (see resilience.go).
 	queueWait *obs.Histogram
 	breaker   *breaker
+	shedTotal *obs.CounterVec
 	// draining flips /readyz to 503 during shutdown while /healthz stays OK.
 	draining atomic.Bool
 	logger   *slog.Logger
@@ -218,7 +210,7 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 	s := &server{
 		cfg:         cfg,
 		metrics:     &fastlsa.Counters{},
-		breaker:     newBreaker(cfg.BreakerWait, cfg.BreakerCooldown, cfg.BreakerWindow),
+		breaker:     newBreaker(cfg.BreakerWait),
 		reg:         obs.NewRegistry(),
 		logger:      cfg.Logger,
 		start:       time.Now(),
@@ -265,16 +257,7 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 	if len(objectives) > 0 {
 		s.slos, _ = obs.NewSLOSet(objectives...)
 	}
-	// Optional fast-burn coupling: the breaker also sheds while the
-	// error-rate objective burns its budget at >= cfg.BreakerBurn on the
-	// short window (docs/RESILIENCE.md).
-	if cfg.BreakerBurn > 0 && s.slos != nil {
-		s.breaker.burnLimit = cfg.BreakerBurn
-		s.breaker.burn = func() float64 { return s.slos.Burn(sloErrors, obs.SLOShortWindow) }
-	}
-	if cfg.ProfLabels {
-		obs.SetProfLabels(true)
-	}
+	obs.SetProfLabels(true) // CPU attribution per job, backend and phase
 	if cfg.ProfInterval > 0 {
 		s.sampler = obs.StartProfSampler(cfg.ProfInterval, 0)
 	}
@@ -288,8 +271,7 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 	s.queueWait = s.reg.Histogram("fastlsa_engine_queue_wait_seconds",
 		"Queue wait per job attempt, observed at worker pickup.",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30})
-	// Every job pickup feeds both the latency histogram and the overload
-	// breaker, which sheds synchronous requests while the p95 is unhealthy.
+	// Every job pickup feeds the latency histogram and the queue-wait breaker.
 	engCfg := fastlsa.EngineConfig{
 		Workers:            cfg.EngineWorkers,
 		QueueDepth:         cfg.QueueDepth,
@@ -397,9 +379,11 @@ func (s *server) registerMetrics() {
 	s.reg.CounterFunc("fastlsa_breaker_trips_total",
 		"Times the overload breaker tripped open on p95 queue wait.",
 		func() float64 { return float64(s.breaker.trips.Load()) })
-	s.reg.CounterFunc("fastlsa_breaker_shed_total",
-		"Synchronous requests shed by the open overload breaker.",
-		func() float64 { return float64(s.breaker.shed.Load()) })
+	s.shedTotal = s.reg.CounterVec("fastlsa_shed_total",
+		"Requests shed with 503 + Retry-After, by reason.", "reason")
+	for _, reason := range []string{shedRecovering, shedQueueWait, shedErrorBurn, shedQueueFull, shedDraining} {
+		s.shedTotal.With(reason) // export every reason from the first scrape
+	}
 	s.reg.CounterFunc("fastlsa_engine_batches_total",
 		"Batch submissions admitted.",
 		engStat(func(st fastlsa.EngineStats) float64 { return float64(st.Batches) }))
@@ -557,24 +541,32 @@ func (s *server) shutdown(ctx context.Context) error {
 // runSync executes task through the engine so the synchronous endpoints get
 // the same admission control and cancellation semantics as async jobs: the
 // job's context derives from the request, so a client disconnect or a
-// TimeoutHandler expiry abandons the computation. An open overload breaker
-// sheds the request up front with a queue-full 503 (Retry-After attached by
-// writeTaskErr) instead of parking it behind an unhealthy queue.
+// TimeoutHandler expiry abandons the computation.
 func (s *server) runSync(r *http.Request, kind string, rec *fastlsa.Recorder, task func(ctx context.Context) (any, error)) (any, error) {
-	if !s.breaker.allow(time.Now()) {
-		return nil, fmt.Errorf("%w: overload breaker open (p95 queue wait over %s)",
-			fastlsa.ErrQueueFull, s.cfg.BreakerWait)
+	j, err := s.submitSync(r.Context(), kind, rec, task)
+	if err != nil {
+		return nil, err
+	}
+	return j.Wait(r.Context())
+}
+
+// submitSync admits a synchronous request and submits its task under ctx.
+// An error means the request was turned away before reaching the queue;
+// writeTaskErr answers it.
+func (s *server) submitSync(ctx context.Context, kind string, rec *fastlsa.Recorder, task func(ctx context.Context) (any, error)) (*fastlsa.Job, error) {
+	if err := s.admit(false); err != nil {
+		return nil, err
 	}
 	j, err := s.eng.SubmitFunc(kind, task, fastlsa.JobOptions{
-		Context:   r.Context(),
-		RequestID: obs.RequestID(r.Context()),
+		Context:   ctx,
+		RequestID: obs.RequestID(ctx),
 		Recorder:  rec,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.watchJob(j)
-	return j.Wait(r.Context())
+	return j, nil
 }
 
 // errStatus maps an execution error to an HTTP status: 422 is reserved for
@@ -606,11 +598,15 @@ func withLimits(cfg serverConfig, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// apiError is the uniform error envelope. RetryAfterMs accompanies overload
-// 503s (mirroring the Retry-After header, millisecond precision).
+// apiError is the uniform error envelope. RetryAfterMs accompanies 429s and
+// overload 503s (mirroring the Retry-After header, millisecond precision);
+// Reason names an overload 503's shed reason, and Phase is "recovering" on
+// the recovering one.
 type apiError struct {
 	Error        string `json:"error"`
+	Reason       string `json:"reason,omitempty"`
 	RetryAfterMs int64  `json:"retryAfterMs,omitempty"`
+	Phase        string `json:"phase,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -809,20 +805,42 @@ func (s *server) alignTask(req alignRequest, rec *fastlsa.Recorder) (func(ctx co
 	}, nil
 }
 
-func buildOptions(cfg serverConfig, req alignRequest) (fastlsa.Options, *fastlsa.Sequence, *fastlsa.Sequence, error) {
-	matrixName := req.Matrix
+// parseScoring resolves the fields the align, MSA and inline-search bodies
+// share: the matrix (default blosum62), the alphabet (default: the matrix's
+// own) and the worker count (default DefaultWorkers).
+func (c serverConfig) parseScoring(matrixName, alphabetName string, workers int) (*fastlsa.Matrix, *fastlsa.Alphabet, int, error) {
 	if matrixName == "" {
 		matrixName = "blosum62"
 	}
 	matrix, err := fastlsa.MatrixByName(matrixName)
 	if err != nil {
-		return fastlsa.Options{}, nil, nil, err
+		return nil, nil, 0, err
 	}
 	alphabet := matrix.Alphabet
-	if req.Alphabet != "" {
-		if alphabet, err = fastlsa.ParseAlphabet(req.Alphabet); err != nil {
-			return fastlsa.Options{}, nil, nil, err
+	if alphabetName != "" {
+		if alphabet, err = fastlsa.ParseAlphabet(alphabetName); err != nil {
+			return nil, nil, 0, err
 		}
+	}
+	if workers == 0 {
+		workers = c.DefaultWorkers
+	}
+	return matrix, alphabet, workers, nil
+}
+
+// checkLen rejects a sequence of n residues over MaxSequenceLen; the error
+// names it as fmt.Sprintf(what, args...).
+func (c serverConfig) checkLen(n int, what string, args ...any) error {
+	if n <= c.MaxSequenceLen {
+		return nil
+	}
+	return fmt.Errorf("%s exceeds the %d-residue limit", fmt.Sprintf(what, args...), c.MaxSequenceLen)
+}
+
+func buildOptions(cfg serverConfig, req alignRequest) (fastlsa.Options, *fastlsa.Sequence, *fastlsa.Sequence, error) {
+	matrix, alphabet, workers, err := cfg.parseScoring(req.Matrix, req.Alphabet, req.Workers)
+	if err != nil {
+		return fastlsa.Options{}, nil, nil, err
 	}
 	mode, err := fastlsa.ParseMode(req.Mode)
 	if err != nil {
@@ -832,8 +850,8 @@ func buildOptions(cfg serverConfig, req alignRequest) (fastlsa.Options, *fastlsa
 	if err != nil {
 		return fastlsa.Options{}, nil, nil, err
 	}
-	if len(req.A) > cfg.MaxSequenceLen || len(req.B) > cfg.MaxSequenceLen {
-		return fastlsa.Options{}, nil, nil, fmt.Errorf("sequence exceeds the %d-residue limit", cfg.MaxSequenceLen)
+	if err := cfg.checkLen(max(len(req.A), len(req.B)), "sequence"); err != nil {
+		return fastlsa.Options{}, nil, nil, err
 	}
 	a, err := fastlsa.NewSequence(orDefault(req.AID, "a"), req.A, alphabet)
 	if err != nil {
@@ -842,10 +860,6 @@ func buildOptions(cfg serverConfig, req alignRequest) (fastlsa.Options, *fastlsa
 	b, err := fastlsa.NewSequence(orDefault(req.BID, "b"), req.B, alphabet)
 	if err != nil {
 		return fastlsa.Options{}, nil, nil, err
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = cfg.DefaultWorkers
 	}
 	opt := fastlsa.Options{
 		Matrix:       matrix,
@@ -914,25 +928,15 @@ func (s *server) msaTask(req msaRequest) (func(ctx context.Context) (any, error)
 	if len(req.Sequences) > cfg.MaxMSASequences {
 		return nil, fmt.Errorf("family exceeds the %d-sequence limit", cfg.MaxMSASequences)
 	}
-	matrixName := req.Matrix
-	if matrixName == "" {
-		matrixName = "blosum62"
-	}
-	matrix, err := fastlsa.MatrixByName(matrixName)
+	matrix, alphabet, workers, err := cfg.parseScoring(req.Matrix, req.Alphabet, req.Workers)
 	if err != nil {
 		return nil, err
-	}
-	alphabet := matrix.Alphabet
-	if req.Alphabet != "" {
-		if alphabet, err = fastlsa.ParseAlphabet(req.Alphabet); err != nil {
-			return nil, err
-		}
 	}
 	seqs := make([]*fastlsa.Sequence, 0, len(req.Sequences))
 	ids := make([]string, 0, len(req.Sequences))
 	for i, rs := range req.Sequences {
-		if len(rs.Letters) > cfg.MaxSequenceLen {
-			return nil, fmt.Errorf("sequence %d exceeds the %d-residue limit", i, cfg.MaxSequenceLen)
+		if err := cfg.checkLen(len(rs.Letters), "sequence %d", i); err != nil {
+			return nil, err
 		}
 		sq, err := fastlsa.NewSequence(orDefault(rs.ID, fmt.Sprintf("seq%d", i+1)), rs.Letters, alphabet)
 		if err != nil {
@@ -940,10 +944,6 @@ func (s *server) msaTask(req msaRequest) (func(ctx context.Context) (any, error)
 		}
 		seqs = append(seqs, sq)
 		ids = append(ids, sq.ID)
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = cfg.DefaultWorkers
 	}
 	return func(ctx context.Context) (any, error) {
 		res, err := fastlsa.AlignMSA(seqs, fastlsa.Options{
@@ -1106,22 +1106,12 @@ func (s *server) searchTask(req searchRequest, rec *fastlsa.Recorder) (func(ctx 
 		}
 		return s.corpusSearchTask(cq, s.metrics.Derive(nil), rec, nil), nil
 	}
-	matrixName := req.Matrix
-	if matrixName == "" {
-		matrixName = "blosum62"
-	}
-	matrix, err := fastlsa.MatrixByName(matrixName)
+	matrix, alphabet, workers, err := cfg.parseScoring(req.Matrix, req.Alphabet, req.Workers)
 	if err != nil {
 		return nil, err
 	}
-	alphabet := matrix.Alphabet
-	if req.Alphabet != "" {
-		if alphabet, err = fastlsa.ParseAlphabet(req.Alphabet); err != nil {
-			return nil, err
-		}
-	}
-	if len(req.Query) > cfg.MaxSequenceLen {
-		return nil, fmt.Errorf("query exceeds the %d-residue limit", cfg.MaxSequenceLen)
+	if err := cfg.checkLen(len(req.Query), "query"); err != nil {
+		return nil, err
 	}
 	query, err := fastlsa.NewSequence(orDefault(req.QueryID, "query"), req.Query, alphabet)
 	if err != nil {
@@ -1132,8 +1122,8 @@ func (s *server) searchTask(req searchRequest, rec *fastlsa.Recorder) (func(ctx 
 	}
 	db := make([]*fastlsa.Sequence, 0, len(req.Database))
 	for i, rs := range req.Database {
-		if len(rs.Letters) > cfg.MaxSequenceLen {
-			return nil, fmt.Errorf("database entry %d exceeds the %d-residue limit", i, cfg.MaxSequenceLen)
+		if err := cfg.checkLen(len(rs.Letters), "database entry %d", i); err != nil {
+			return nil, err
 		}
 		sq, err := fastlsa.NewSequence(orDefault(rs.ID, fmt.Sprintf("db%d", i)), rs.Letters, alphabet)
 		if err != nil {
@@ -1148,10 +1138,6 @@ func (s *server) searchTask(req searchRequest, rec *fastlsa.Recorder) (func(ctx 
 			return nil, fmt.Errorf("search supports linear gaps only")
 		}
 		gap = fastlsa.Linear(req.Gap.Extend)
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = cfg.DefaultWorkers
 	}
 	return func(ctx context.Context) (any, error) {
 		opt := fastlsa.SearchOptions{

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fastlsa"
-	"fastlsa/internal/obs"
 )
 
 // wantsStream reports whether a /v1/search request asked for the NDJSON
@@ -52,6 +51,10 @@ func newStreamWriter(w http.ResponseWriter) *streamWriter {
 func (sw *streamWriter) send(v any) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	sw.sendLocked(v)
+}
+
+func (sw *streamWriter) sendLocked(v any) {
 	if sw.closed {
 		return
 	}
@@ -199,8 +202,8 @@ func (s *server) fillCorpusQuery(cq *corpusQuery, letters, id, matrixName string
 	if matrix.Alphabet.Name != alphabet.Name {
 		return fmt.Errorf("matrix %s is for the %s alphabet; the corpus is %s", matrixName, matrix.Alphabet.Name, alphabet.Name)
 	}
-	if len(letters) > s.cfg.MaxSequenceLen {
-		return fmt.Errorf("query exceeds the %d-residue limit", s.cfg.MaxSequenceLen)
+	if err := s.cfg.checkLen(len(letters), "query"); err != nil {
+		return err
 	}
 	cq.query, err = fastlsa.NewSequence(orDefault(id, "query"), letters, alphabet)
 	if err != nil {
@@ -261,7 +264,7 @@ func (s *server) allowSearch(w http.ResponseWriter, r *http.Request) bool {
 	if ok {
 		return true
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(int(wait.Seconds()+0.5)))
+	w.Header().Set("Retry-After", retryAfterSeconds(wait))
 	writeJSON(w, http.StatusTooManyRequests, apiError{
 		Error:        "search rate limit exceeded",
 		RetryAfterMs: wait.Milliseconds(),
@@ -270,15 +273,11 @@ func (s *server) allowSearch(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // serveSearchStream runs one corpus search through the engine, emitting
-// NDJSON events as the scan progresses. The response commits to 200 once the
-// query event is written; failures after that point arrive as a terminal
-// {"type":"error"} line.
+// NDJSON events as the scan progresses. An admission or submission failure
+// is an ordinary error response; once the job is queued the response
+// commits to 200 with the query event first, and later failures arrive as a
+// terminal {"type":"error"} line.
 func (s *server) serveSearchStream(w http.ResponseWriter, r *http.Request, cq corpusQuery) {
-	if !s.breaker.allow(time.Now()) {
-		s.writeTaskErr(w, fmt.Errorf("%w: overload breaker open (p95 queue wait over %s)",
-			fastlsa.ErrQueueFull, s.cfg.BreakerWait))
-		return
-	}
 	ctx := r.Context()
 	if s.cfg.StreamTimeout > 0 {
 		// Streaming bypasses the TimeoutHandler (it buffers whole responses),
@@ -288,18 +287,9 @@ func (s *server) serveSearchStream(w http.ResponseWriter, r *http.Request, cq co
 		defer cancel()
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // disable proxy buffering
-	w.WriteHeader(http.StatusOK)
+	start := time.Now()
 	sw := newStreamWriter(w)
 	defer sw.close()
-	sw.send(streamQueryEvent{
-		Type: "query", ID: cq.query.ID,
-		Corpus: s.corpus.Len(), Q: s.corpus.Index.Q(),
-		TopK: cq.topK, MinScore: cq.minScore,
-	})
-
-	start := time.Now()
 	counters := s.metrics.Derive(nil)
 	rec := fastlsa.NewRecorder(0)
 	task := s.corpusSearchTask(cq, counters, rec, func(h fastlsa.SearchHit) {
@@ -308,16 +298,24 @@ func (s *server) serveSearchStream(w http.ResponseWriter, r *http.Request, cq co
 			EValue: h.EValue, BitScore: h.BitScore,
 		})
 	})
-	j, err := s.eng.SubmitFunc("search-stream", task, fastlsa.JobOptions{
-		Context:   ctx,
-		RequestID: obs.RequestID(r.Context()),
-		Recorder:  rec,
-	})
+	// Hold the writer until the 200 and the query event are out: the job may
+	// start, and report hits, before submitSync returns.
+	sw.mu.Lock()
+	j, err := s.submitSync(ctx, "search-stream", rec, task)
 	if err != nil {
-		sw.send(streamErrorEvent{Type: "error", Error: err.Error()})
+		sw.mu.Unlock()
+		s.writeTaskErr(w, err)
 		return
 	}
-	s.watchJob(j)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Accel-Buffering", "no") // disable proxy buffering
+	w.WriteHeader(http.StatusOK)
+	sw.sendLocked(streamQueryEvent{
+		Type: "query", ID: cq.query.ID,
+		Corpus: s.corpus.Len(), Q: s.corpus.Index.Q(),
+		TopK: cq.topK, MinScore: cq.minScore,
+	})
+	sw.mu.Unlock()
 	res, err := j.Wait(ctx)
 	if err != nil {
 		sw.send(streamErrorEvent{Type: "error", Error: err.Error()})

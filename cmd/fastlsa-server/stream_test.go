@@ -243,6 +243,69 @@ func TestSearchRateLimit(t *testing.T) {
 	}
 }
 
+// TestSearchRetryAfterRoundsUp: a 1.3s wait for the next token advertises
+// Retry-After 2; rounding to the nearest second would send the client back
+// 0.3s before the bucket can serve it.
+func TestSearchRetryAfterRoundsUp(t *testing.T) {
+	srv, query, _ := corpusServer(t, serverConfig{SearchRate: 1 / 1.3, SearchBurst: 1})
+	url := srv.URL + "/v1/search?q=" + query.String() + "&topK=1"
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first request: status %d, want 200", resp.StatusCode)
+	}
+	resp, out := doJSON(t, http.MethodGet, url, "")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second request: status %d, want 429 (%v)", resp.StatusCode, out)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Fatalf("Retry-After %q for a ~1.3s wait (retryAfterMs %v), want 2", ra, out["retryAfterMs"])
+	}
+}
+
+// TestSearchStreamQueueFull: a streaming search that the engine cannot
+// queue is a 503 with the shed reason and Retry-After, not a 200 stream
+// that ends in an error line.
+func TestSearchStreamQueueFull(t *testing.T) {
+	srv, query, _ := corpusServer(t, serverConfig{EngineWorkers: 1, QueueDepth: 1})
+	var ids []string
+	defer func() {
+		for _, id := range ids {
+			doJSON(t, http.MethodDelete, srv.URL+"/v1/jobs/"+id, "")
+		}
+	}()
+	// Full means one job running and one queued: a rejection while the
+	// first still sits in the queue would not last.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, st := doJSON(t, http.MethodGet, srv.URL+"/v1/stats", "")
+		running, queued := st["running"].(float64), st["queued"].(float64)
+		if running == 1 && queued == 1 {
+			break
+		}
+		if running+queued < 2 {
+			if resp, out := postJSON(t, srv.URL+"/v1/jobs", slowAlignJob(12000)); resp.StatusCode == http.StatusAccepted {
+				ids = append(ids, out["id"].(string))
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never saturated: %v", st)
+		}
+	}
+	resp, out := doJSON(t, http.MethodGet, srv.URL+"/v1/search?topK=1&q="+query.String(), "")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stream under a full queue: status %d, want 503 (%v)", resp.StatusCode, out)
+	}
+	if out["reason"] != shedQueueFull {
+		t.Fatalf("reason %v, want %s", out["reason"], shedQueueFull)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("missing Retry-After header")
+	}
+}
+
 func TestRateLimiterRefill(t *testing.T) {
 	l := newRateLimiter(10, 1) // 10 tokens/s, burst 1
 	now := time.Unix(0, 0)
@@ -251,8 +314,8 @@ func TestRateLimiterRefill(t *testing.T) {
 	}
 	if ok, wait := l.allow("a", now); ok {
 		t.Fatal("second immediate request should be limited")
-	} else if wait < time.Second {
-		t.Fatalf("Retry-After %v below whole-second floor", wait)
+	} else if ra := retryAfterSeconds(wait); ra != "1" {
+		t.Fatalf("Retry-After %q for a %v wait, want the whole-second floor 1", ra, wait)
 	}
 	if ok, _ := l.allow("a", now.Add(200*time.Millisecond)); !ok {
 		t.Fatal("token should have accrued after 200ms at 10/s")

@@ -44,6 +44,16 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	shed   string
+}
+
+// MarkShed records that the handler shed the request for reason; the
+// completion hook receives it as RequestSample.Shed. w must be the writer
+// the middleware handed the handler; on any other writer it is a no-op.
+func MarkShed(w http.ResponseWriter, reason string) {
+	if sw, ok := w.(*statusWriter); ok {
+		sw.shed = reason
+	}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -103,6 +113,9 @@ type RequestSample struct {
 	Route, Method, RequestID string
 	Status                   int
 	Duration                 time.Duration
+	// Shed is the reason the handler passed to MarkShed ("" when the
+	// request was not shed).
+	Shed string
 }
 
 // Middleware wraps h with request-id propagation, structured access
@@ -145,7 +158,7 @@ func MiddlewareObserved(route string, logger *slog.Logger, m *HTTPMetrics, onDon
 		if onDone != nil {
 			onDone(RequestSample{
 				Route: route, Method: r.Method, RequestID: id,
-				Status: sw.status, Duration: elapsed,
+				Status: sw.status, Duration: elapsed, Shed: sw.shed,
 			})
 		}
 		if logger != nil {
