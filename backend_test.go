@@ -122,7 +122,7 @@ func divergencePair(t *testing.T, n int, sub float64, seed int64) (*fastlsa.Sequ
 	return a, b
 }
 
-// TestAutoRouting is the acceptance anchor: under AlgoAuto a ≥95%-identity
+// TestAutoRouting is the acceptance anchor: under AlgoAuto a ~99%-identity
 // DNA pair runs on WFA, a ≤70%-identity pair on FastLSA, with the decision
 // reported through Options.Route and a backend.route trace span — and the
 // WFA-routed run returns the same optimal score as the kernel layer.
@@ -130,11 +130,12 @@ func TestAutoRouting(t *testing.T) {
 	matrix, gap := fastlsa.DNASimple, fastlsa.Linear(-4)
 
 	t.Run("high-identity-to-wfa", func(t *testing.T) {
-		a, b := divergencePair(t, 2000, 0.02, 51)
+		a, b := divergencePair(t, 2000, 0.01, 51)
 		tr := fastlsa.NewTrace(0)
+		rec := fastlsa.NewRecorder(0)
 		var route fastlsa.RouteInfo
 		got, err := fastlsa.Align(a, b, fastlsa.Options{
-			Matrix: matrix, Gap: gap, Route: &route, Trace: tr,
+			Matrix: matrix, Gap: gap, Route: &route, Trace: tr, Recorder: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,8 +143,12 @@ func TestAutoRouting(t *testing.T) {
 		if route.Backend != "wfa" || route.Reason != backend.ReasonLowDivergence {
 			t.Fatalf("route %+v", route)
 		}
-		if route.Identity < backend.RouteIdentityThreshold {
-			t.Fatalf("identity estimate %.3f below threshold", route.Identity)
+		if route.Identity == 0 || route.PredictedWFA >= route.PredictedFastLSA {
+			t.Fatalf("wfa route without a cheaper wfa prediction: %+v", route)
+		}
+		// The flight recorder's route event carries both predictions.
+		if ev := rec.Snapshot().Events[0]; ev.Kind != "route" || ev.Duration != route.PredictedFastLSA || ev.Alt != route.PredictedWFA {
+			t.Fatalf("route event %+v, route %+v", ev, route)
 		}
 		want, err := fastlsa.Score(a, b, fastlsa.Options{Matrix: matrix, Gap: gap})
 		if err != nil {

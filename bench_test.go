@@ -16,7 +16,7 @@ package fastlsa_test
 //	E8  BenchmarkE8_Efficiency         problem size at fixed P
 //	E9  BenchmarkE9_TileSweep          (k, u, v) tilings / wavefront phases
 //	E12 BenchmarkE12_Variants          full-matrix variants and accelerators
-//	E13 BenchmarkE13_WFACrossover      FastLSA vs WFA by divergence
+//	E13 BenchmarkE13_WFACrossover      FastLSA vs BiWFA by divergence
 //
 // Theorem checks (E11) are hard test assertions: go test -run Theorem ./...
 
@@ -308,23 +308,19 @@ func BenchmarkE12_Variants(b *testing.B) {
 	})
 }
 
-// BenchmarkE13_WFACrossover measures both ends of the FastLSA-vs-WFA
+// BenchmarkE13_WFACrossover measures both ends of the FastLSA-vs-BiWFA
 // crossover (docs/BACKENDS.md): at 1% divergence the wavefront kernel wins
-// by an order of magnitude, at 30% it loses — the full ladder is
-// `fastlsa-bench wfa` (BENCH_E13_WFA.json).
+// by an order of magnitude, at 20% it loses by more — the full ladder, with
+// the router's predictions, is `fastlsa-bench wfa` (BENCH_E13_WFA.json).
 func BenchmarkE13_WFACrossover(b *testing.B) {
 	const n = 2000
 	gap := scoring.Linear(-4)
-	for _, d := range []float64{0.01, 0.30} {
-		model := seq.MutationModel{
-			SubstitutionRate: d, InsertionRate: d / 10, DeletionRate: d / 10,
-			MaxIndelRun: 4, IndelExtend: 0.5,
-		}
-		x, y, err := seq.HomologousPair(n, seq.DNA, model, int64(1000*d)+13)
+	for _, d := range []float64{0.01, 0.20} {
+		x, y, err := bench.CrossoverPair(n, d)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, eng := range []bench.Engine{bench.EngineFastLSA, bench.EngineWFA} {
+		for _, eng := range []bench.Engine{bench.EngineFastLSA, bench.EngineBiWFA} {
 			b.Run(fmt.Sprintf("div=%.2f/%s", d, eng), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					m := bench.Run(x, y, scoring.DNASimple, bench.Config{Engine: eng, Gap: gap})

@@ -36,7 +36,7 @@ func backendPair(t *testing.T, n int, sub float64, salt int64) (string, string) 
 func TestAlignBackendRouting(t *testing.T) {
 	srv := testServer(t)
 
-	similarA, similarB := backendPair(t, 1500, 0.02, 41)
+	similarA, similarB := backendPair(t, 1500, 0.01, 41)
 	resp, out := postJSON(t, srv.URL+"/v1/align",
 		fmt.Sprintf(`{"a":%q,"b":%q,"matrix":"dna","gap":{"extend":-4}}`, similarA, similarB))
 	if resp.StatusCode != http.StatusOK {
@@ -45,6 +45,9 @@ func TestAlignBackendRouting(t *testing.T) {
 	if out["backend"] != "wfa" || out["routeReason"] != "low-divergence" {
 		t.Fatalf("high-identity pair served by %v (%v), want wfa (low-divergence)",
 			out["backend"], out["routeReason"])
+	}
+	if !predictedCheaper(out, "routePredictedWfaMs", "routePredictedFastlsaMs") {
+		t.Fatalf("wfa verdict without a cheaper wfa prediction: %v", out)
 	}
 
 	divergentA, divergentB := backendPair(t, 1500, 0.30, 42)
@@ -56,6 +59,9 @@ func TestAlignBackendRouting(t *testing.T) {
 	if out["backend"] != "fastlsa" || out["routeReason"] != "high-divergence" {
 		t.Fatalf("divergent pair served by %v (%v), want fastlsa (high-divergence)",
 			out["backend"], out["routeReason"])
+	}
+	if !predictedCheaper(out, "routePredictedFastlsaMs", "routePredictedWfaMs") {
+		t.Fatalf("fastlsa verdict without a cheaper fastlsa prediction: %v", out)
 	}
 
 	resp, out = postJSON(t, srv.URL+"/v1/align",
@@ -115,7 +121,7 @@ func TestAlignBackendRouting(t *testing.T) {
 // jobs reuse the same alignTask, so the result body must carry them too.
 func TestJobBackendRouting(t *testing.T) {
 	srv := testServer(t)
-	a, b := backendPair(t, 1500, 0.02, 43)
+	a, b := backendPair(t, 1500, 0.01, 43)
 	resp, out := postJSON(t, srv.URL+"/v1/jobs",
 		fmt.Sprintf(`{"type":"align","align":{"a":%q,"b":%q,"matrix":"dna","gap":{"extend":-4}}}`, a, b))
 	if resp.StatusCode != http.StatusAccepted {
@@ -130,4 +136,15 @@ func TestJobBackendRouting(t *testing.T) {
 		t.Fatalf("job result served by %v (%v), want wfa (low-divergence)",
 			result["backend"], result["routeReason"])
 	}
+	if !predictedCheaper(result, "routePredictedWfaMs", "routePredictedFastlsaMs") {
+		t.Fatalf("job result lacks the route's cost predictions: %v", result)
+	}
+}
+
+// predictedCheaper reports whether the response body carries both route
+// predictions with the one named cheap below the other.
+func predictedCheaper(body map[string]any, cheap, dear string) bool {
+	c, ok1 := body[cheap].(float64)
+	d, ok2 := body[dear].(float64)
+	return ok1 && ok2 && c > 0 && c < d
 }

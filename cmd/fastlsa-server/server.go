@@ -666,11 +666,15 @@ type alignResponse struct {
 	// run and why it was chosen ("explicit" for a forced algorithm,
 	// AlgoAuto's divergence verdict otherwise; docs/BACKENDS.md). Omitted
 	// for local runs, which do not route. RouteIdentity is the q-gram
-	// identity estimate that drove a divergence verdict (omitted when no
+	// identity estimate that drove a divergence verdict, and
+	// RoutePredictedFastLSAMs / RoutePredictedWFAMs the cost model's
+	// predicted run times of the two candidates (all omitted when no
 	// estimate was made — forced algorithms, short pairs).
-	Backend       string  `json:"backend,omitempty"`
-	RouteReason   string  `json:"routeReason,omitempty"`
-	RouteIdentity float64 `json:"routeIdentity,omitempty"`
+	Backend                 string  `json:"backend,omitempty"`
+	RouteReason             string  `json:"routeReason,omitempty"`
+	RouteIdentity           float64 `json:"routeIdentity,omitempty"`
+	RoutePredictedFastLSAMs float64 `json:"routePredictedFastlsaMs,omitempty"`
+	RoutePredictedWFAMs     float64 `json:"routePredictedWfaMs,omitempty"`
 	// Trace is the run's Chrome trace_event JSON (load it in
 	// chrome://tracing or Perfetto) when the request asked for one.
 	Trace json.RawMessage `json:"trace,omitempty"`
@@ -798,6 +802,8 @@ func (s *server) alignTask(req alignRequest, rec *fastlsa.Recorder) (func(ctx co
 			RouteIdentity: route.Identity,
 			Trace:         traceJSON(),
 		}
+		resp.RoutePredictedFastLSAMs = float64(route.PredictedFastLSA) / float64(time.Millisecond)
+		resp.RoutePredictedWFAMs = float64(route.PredictedWFA) / float64(time.Millisecond)
 		if req.IncludeRows {
 			resp.RowA, resp.RowB = al.Rows()
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/backend"
@@ -266,13 +267,13 @@ const (
 	// AlgoAuto routes each run to a backend — the paper's headline adaptive
 	// mode, extended with a WFA fast path. Global-mode pairs whose scoring
 	// system is WFA-compatible (uniform match/mismatch matrix, see AlgoWFA)
-	// and whose estimated identity (a bounded q-gram sample of both
-	// sequences) is at least backend.RouteIdentityThreshold (75%) run on
-	// the wavefront backend — O(ns) time and, since it serves the
-	// bidirectional BiWFA mode, O(s) memory; everything else — ends-free
-	// modes,
-	// non-uniform matrices, short or divergent or unestimable pairs — runs
-	// FastLSA with parameters planned against MemoryBudget. Explicit K or
+	// run on whichever backend a small cost model predicts to be faster:
+	// FastLSA at ~m·n cells, or the wavefront backend (bidirectional BiWFA,
+	// O(s) memory) at a cost growing with the square of the divergence,
+	// estimated from a bounded q-gram sample of both sequences and priced
+	// under the request's penalties (backend.Decide). Everything else
+	// — ends-free modes, non-uniform matrices, short or unestimable pairs —
+	// runs FastLSA with parameters planned against MemoryBudget. Explicit K or
 	// BaseCells overrides take precedence over the divergence estimate:
 	// they are FastLSA parameters, so setting either pins the run to the
 	// FastLSA backend, where they act as planning inputs re-validated
@@ -437,6 +438,18 @@ type RouteInfo struct {
 	// Identity is the q-gram identity estimate that drove an AlgoAuto
 	// decision (0 when no estimate was made).
 	Identity float64 `json:"identity,omitempty"`
+	// PredictedFastLSA and PredictedWFA are the router's predicted run times
+	// of the two candidates behind a divergence verdict (0 when no
+	// prediction was made): "low-divergence" means PredictedWFA was the
+	// smaller, "high-divergence" that PredictedFastLSA was.
+	PredictedFastLSA time.Duration `json:"predictedFastlsaNs,omitempty"`
+	PredictedWFA     time.Duration `json:"predictedWfaNs,omitempty"`
+}
+
+// event is the route's flight-recorder entry.
+func (r RouteInfo) event() obs.Event {
+	return obs.Event{Kind: obs.EvRoute, Detail: r.Backend, Extra: r.Reason, Value: r.Identity,
+		Duration: r.PredictedFastLSA, Alt: r.PredictedWFA}
 }
 
 func (o Options) normalise() (Options, error) {
@@ -523,7 +536,8 @@ func routeAlign(a, b *Sequence, opt Options) (RouteInfo, error) {
 	start := opt.Trace.Begin()
 	if opt.Algorithm == AlgoAuto {
 		r := backend.Decide(a, b, opt.Matrix, opt.Gap, opt.Mode, opt.K != 0 || opt.BaseCells != 0)
-		route = RouteInfo{Backend: r.Backend, Reason: r.Reason, Identity: r.Identity}
+		route = RouteInfo{Backend: r.Backend, Reason: r.Reason, Identity: r.Identity,
+			PredictedFastLSA: r.PredictedFastLSA, PredictedWFA: r.PredictedWFA}
 	} else {
 		name := opt.Algorithm.String()
 		bk, ok := backend.Lookup(name)
@@ -541,7 +555,7 @@ func routeAlign(a, b *Sequence, opt Options) (RouteInfo, error) {
 		route = RouteInfo{Backend: name, Reason: backend.ReasonExplicit}
 	}
 	opt.Trace.End(SpanNameBackendRoute, obs.CatBackend, start, obs.Tags{Backend: route.Backend, Reason: route.Reason})
-	opt.Recorder.Add(obs.Event{Kind: obs.EvRoute, Detail: route.Backend, Extra: route.Reason, Value: route.Identity})
+	opt.Recorder.Add(route.event())
 	return route, nil
 }
 
@@ -565,11 +579,11 @@ func dispatchAlign(a, b *Sequence, opt Options) (core.Result, RouteInfo, error) 
 	res, err := run(route)
 	if err != nil && opt.Algorithm == AlgoAuto && route.Backend == backend.NameWFA && errors.Is(err, ErrBudgetExceeded) {
 		opt.Recorder.Add(obs.Event{Kind: obs.EvBudgetFallback, Detail: err.Error()})
-		route = RouteInfo{Backend: backend.NameFastLSA, Reason: backend.ReasonBudgetFallback, Identity: route.Identity}
+		route.Backend, route.Reason = backend.NameFastLSA, backend.ReasonBudgetFallback
 		start := opt.Trace.Begin()
 		opt.Trace.End(SpanNameBackendRoute, obs.CatBackend, start, obs.Tags{Backend: route.Backend, Reason: route.Reason})
 		res, err = run(route)
-		opt.Recorder.Add(obs.Event{Kind: obs.EvRoute, Detail: route.Backend, Extra: route.Reason, Value: route.Identity})
+		opt.Recorder.Add(route.event())
 	}
 	return res, route, err
 }

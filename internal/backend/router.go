@@ -1,6 +1,9 @@
 package backend
 
 import (
+	"math"
+	"time"
+
 	"fastlsa/internal/align"
 	"fastlsa/internal/index"
 	"fastlsa/internal/scoring"
@@ -13,11 +16,11 @@ import (
 const (
 	// ReasonExplicit: the caller forced a backend (Algorithm != AlgoAuto).
 	ReasonExplicit = "explicit"
-	// ReasonLowDivergence: the q-gram identity estimate cleared
-	// RouteIdentityThreshold, so the O(ns) WFA kernel wins.
+	// ReasonLowDivergence: the cost model predicted BiWFA cheaper than
+	// FastLSA for the estimated divergence.
 	ReasonLowDivergence = "low-divergence"
-	// ReasonHighDivergence: the identity estimate fell short, so the
-	// budget-planned FastLSA engine is the safe choice.
+	// ReasonHighDivergence: the cost model predicted FastLSA cheaper than
+	// (or as cheap as) BiWFA for the estimated divergence.
 	ReasonHighDivergence = "high-divergence"
 	// ReasonIncompatibleScoring: the matrix or gap model has no exact WFA
 	// penalty equivalent (wfa.FromScoring).
@@ -39,23 +42,33 @@ const (
 	ReasonBudgetFallback = "budget-fallback"
 )
 
-// RouteIdentityThreshold is the estimated-identity floor for routing to
-// WFA under AlgoAuto. WFA's time grows with the square of the unit-cost
-// distance (cells ≈ E²/e), so the floor sits where the time crossover
-// against FastLSA's flat mn cost lives: the E13/E15 curves put it near
-// 0.70–0.75 identity. It used to be a memory-conservative 0.90 — the
-// unidirectional kernel retained its whole O(s²) wavefront history — but
-// the backend now serves the bidirectional BiWFA mode, whose memory is O(s)
-// and comfortably below FastLSA's own footprint everywhere near the
-// crossover, so time is the only axis left to be conservative about.
-// ErrBudgetExceeded still falls back to budget-planned FastLSA as the
-// safety net (ReasonBudgetFallback).
-const RouteIdentityThreshold = 0.75
-
 // MinRouteLen is the per-sequence length floor for WFA routing: below it a
 // full DP is microseconds anyway and the q-gram estimate has too few grams
 // to mean anything.
 const MinRouteLen = 64
+
+// Cost-model constants, fitted on E13 re-runs (BENCH_E13_WFA.json: both
+// backends as served, DNA n = 200–4000, linear −4 and affine −6/−2, 1–20%
+// divergence, 2 vCPUs). They are times on that host; only their ratios
+// decide a route.
+const (
+	// fastlsaLinearNsPerCell and fastlsaAffineNsPerCell price one cell of
+	// budget-planned FastLSA at the default worker count, recomputation
+	// (Theorems 1–2) included, under the one-plane linear and the
+	// three-plane affine kernel; fastlsaFixedNs is its per-run setup.
+	// Least-squares fit (in log time) to every rung's FastLSA time.
+	fastlsaLinearNsPerCell = 1.9
+	fastlsaAffineNsPerCell = 3.2
+	fastlsaFixedNs         = 100e3
+	// wfaNsPerCell prices one predicted BiWFA wavefront cell. It is fitted
+	// to the verdicts rather than the times: the geometric middle of the
+	// range (195–345 ns) over which every rung where one backend is ≥2×
+	// faster routes to that backend and the summed log-regret is least.
+	// Far from the crossover BiWFA runs at 50–100 ns per predicted cell;
+	// near it, Hirschberg fallbacks on gap-straddling splits cost 2–5×
+	// more, and that is the band where the price decides.
+	wfaNsPerCell = 260.0
+)
 
 // Route is one routing decision.
 type Route struct {
@@ -66,12 +79,17 @@ type Route struct {
 	// Identity is the q-gram identity estimate that drove the decision
 	// (0 when no estimate was made).
 	Identity float64
+	// PredictedFastLSA and PredictedWFA are the cost model's predicted run
+	// times of the two candidates (0 when no prediction was made): the
+	// route went to the cheaper one.
+	PredictedFastLSA, PredictedWFA time.Duration
 }
 
 // Decide picks the backend for an AlgoAuto request: WFA for long,
-// WFA-compatible, low-divergence global pairs; budget-planned FastLSA for
-// everything else. explicitParams reports whether the caller pinned K or
-// BaseCells (FastLSA parameters, which force the FastLSA backend).
+// WFA-compatible global pairs whose predicted BiWFA cost undercuts
+// FastLSA's; budget-planned FastLSA for everything else. explicitParams
+// reports whether the caller pinned K or BaseCells (FastLSA parameters,
+// which force the FastLSA backend).
 func Decide(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mode align.Mode, explicitParams bool) Route {
 	if !mode.IsGlobal() {
 		return Route{Backend: NameFastLSA, Reason: ReasonEndsFree}
@@ -82,15 +100,64 @@ func Decide(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mode align.M
 	if a == nil || b == nil || a.Len() < MinRouteLen || b.Len() < MinRouteLen {
 		return Route{Backend: NameFastLSA, Reason: ReasonSmallInput}
 	}
-	if !wfa.Compatible(m, a.Alphabet, gap) {
+	pen, err := wfa.FromScoring(m, a.Alphabet, gap)
+	if err != nil {
 		return Route{Backend: NameFastLSA, Reason: ReasonIncompatibleScoring}
 	}
 	identity, ok := index.EstimateIdentity(a, b, 0)
 	if !ok {
 		return Route{Backend: NameFastLSA, Reason: ReasonNoEstimate}
 	}
-	if identity >= RouteIdentityThreshold {
-		return Route{Backend: NameWFA, Reason: ReasonLowDivergence, Identity: identity}
+	r := Route{Backend: NameFastLSA, Reason: ReasonHighDivergence, Identity: identity}
+	r.PredictedFastLSA, r.PredictedWFA = predictCosts(a.Len(), b.Len(), identity, pen)
+	if r.PredictedWFA < r.PredictedFastLSA {
+		r.Backend, r.Reason = NameWFA, ReasonLowDivergence
 	}
-	return Route{Backend: NameFastLSA, Reason: ReasonHighDivergence, Identity: identity}
+	return r
+}
+
+// predictCosts is the router's cost model for an m×n pair of estimated
+// identity under WFA penalties pen.
+//
+// FastLSA computes ~m·n cells whatever the divergence; its recomputation
+// is bounded by a constant factor (Theorems 1–2), folded into the per-cell
+// price of the gap model's kernel, plus a fixed setup cost.
+//
+// BiWFA's work is the sum of its wavefront widths. At penalty s the fronts
+// span ~2s/e diagonals (e = pen.GapExtend), and only penalties that are
+// multiples of g = gcd(x, o, e) hold any cell, so reaching the optimum S
+// costs ~S²/(g·e) cells. S is predicted from D̂ = (1−identity)·(m+n)/2
+// edits priced at the mismatch penalty x, and never below the gap the
+// length difference forces.
+func predictCosts(m, n int, identity float64, pen wfa.Penalties) (fastlsa, wfaCost time.Duration) {
+	perCell := fastlsaLinearNsPerCell
+	if pen.GapOpen != 0 {
+		perCell = fastlsaAffineNsPerCell
+	}
+	fastlsa = nanos(fastlsaFixedNs + perCell*float64(m)*float64(n))
+
+	edits := max(1-identity, 0) * float64(m+n) / 2
+	s := edits * float64(pen.Mismatch)
+	if d := m - n; d != 0 {
+		s = max(s, float64(pen.GapOpen+pen.GapExtend*max(d, -d)))
+	}
+	g := gcd(gcd(pen.Mismatch, pen.GapOpen), pen.GapExtend)
+	wfaCost = nanos(wfaNsPerCell * s * s / float64(g*pen.GapExtend))
+	return fastlsa, wfaCost
+}
+
+// nanos converts a predicted time in nanoseconds to a Duration, saturating
+// where chromosome-scale inputs overflow int64.
+func nanos(ns float64) time.Duration {
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

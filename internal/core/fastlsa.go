@@ -180,7 +180,7 @@ func (s *solver) solve(t rect, top, left kernel.Edge, state int) (exitR, exitC, 
 		k = cols
 	}
 
-	grid, err := newGrid(t, k, top, left, s.k.Mod.IsAffine(), s.opt.budget)
+	grid, err := newGrid(t, k, top, left, s.k.Mod.IsAffine(), s.opt.budget, s.opt.pool)
 	if err != nil {
 		return 0, 0, 0, err
 	}

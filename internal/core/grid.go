@@ -43,6 +43,8 @@ type gridCache struct {
 
 	entries int64 // budget charge
 	budget  *memory.Budget
+	pool    *memory.RowPool
+	backs   [2][]int64 // the row and column lines' backing arrays, from pool
 }
 
 // splitBoundaries divides [lo..hi] into k near-equal segments, returning the
@@ -60,9 +62,9 @@ func splitBoundaries(lo, hi, k int) []int {
 // newGrid allocates and initialises the grid cache for the general case of
 // subproblem t (allocateGrid + initializeGrid of Figure 2). top spans node
 // row r0 (lanes of len cols+1), left node column c0 (len rows+1); affine
-// selects two lanes per line. The allocation is charged to the budget and
-// must be returned with free.
-func newGrid(t rect, k int, top, left kernel.Edge, affine bool, budget *memory.Budget) (*gridCache, error) {
+// selects two lanes per line. The allocation is charged to the budget, drawn
+// from pool (nil allocates) and must be returned with free.
+func newGrid(t rect, k int, top, left kernel.Edge, affine bool, budget *memory.Budget, pool *memory.RowPool) (*gridCache, error) {
 	rows, cols := t.rows(), t.cols()
 	g := &gridCache{
 		t:      t,
@@ -70,6 +72,7 @@ func newGrid(t rect, k int, top, left kernel.Edge, affine bool, budget *memory.B
 		rs:     splitBoundaries(t.r0, t.r1, k),
 		cs:     splitBoundaries(t.c0, t.c1, k),
 		budget: budget,
+		pool:   pool,
 	}
 	lanes := int64(1)
 	if affine {
@@ -79,9 +82,12 @@ func newGrid(t rect, k int, top, left kernel.Edge, affine bool, budget *memory.B
 	if err := budget.Reserve(g.entries); err != nil {
 		return nil, fmt.Errorf("core: grid cache for %s (k=%d, %d entries): %w", t, k, g.entries, err)
 	}
-	// One backing array per direction keeps the allocation count flat.
-	rowBack := make([]int64, int(lanes)*k*(cols+1))
-	colBack := make([]int64, int(lanes)*k*(rows+1))
+	// One backing array per direction keeps the allocation count flat. Pooled
+	// contents are unspecified: line 0 is copied in below, the deeper lines'
+	// first entries are set below, and the fill writes the rest.
+	rowBack := pool.GetFull(int(lanes) * k * (cols + 1))
+	colBack := pool.GetFull(int(lanes) * k * (rows + 1))
+	g.backs = [2][]int64{rowBack, colBack}
 	g.rows = make([]kernel.Edge, k)
 	g.cols = make([]kernel.Edge, k)
 	for i := 0; i < k; i++ {
@@ -117,11 +123,16 @@ func newGrid(t rect, k int, top, left kernel.Edge, affine bool, budget *memory.B
 	return g, nil
 }
 
-// free releases the grid's budget charge (deallocateGrid of Figure 2).
+// free releases the grid's budget charge and returns its lines to the pool
+// (deallocateGrid of Figure 2).
 func (g *gridCache) free() {
 	g.budget.Release(g.entries)
 	g.entries = 0
 	g.rows, g.cols = nil, nil
+	for i, b := range g.backs {
+		g.pool.Put(b)
+		g.backs[i] = nil
+	}
 }
 
 // blockOf locates the block whose cell range contains cell (r, c):

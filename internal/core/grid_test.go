@@ -115,7 +115,7 @@ func TestGridCacheLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := newGrid(tr, 4, top, left, false, budget)
+	g, err := newGrid(tr, 4, top, left, false, budget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestGridCacheLayout(t *testing.T) {
 		t.Fatalf("grid free leaked %d", budget.Used())
 	}
 	// blockOf / blockRect / input slices are consistent.
-	g2, err := newGrid(tr, 4, top, left, false, nil)
+	g2, err := newGrid(tr, 4, top, left, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestGridCacheLayoutAffine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := newGrid(tr, 4, top, left, true, budget)
+	g, err := newGrid(tr, 4, top, left, true, budget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestGridBudgetRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newGrid(tr, 8, top, left, false, budget); err == nil {
+	if _, err := newGrid(tr, 8, top, left, false, budget, nil); err == nil {
 		t.Fatal("grid must be rejected by a 10-entry budget")
 	}
 	if budget.Used() != 0 {

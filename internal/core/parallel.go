@@ -101,8 +101,12 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	meshCols := make([]kernel.Edge, C)
 	meshRows[0] = grid.rows[0]
 	meshCols[0] = grid.cols[0]
-	rowBack := make([]int64, int(lanes)*(R-1)*(cols+1))
-	colBack := make([]int64, int(lanes)*(C-1)*(rows+1))
+	// Pooled contents are unspecified: the loops below set every line's
+	// first entry and the tiles write the rest before any tile reads it.
+	rowBack := s.opt.pool.GetFull(int(lanes) * (R - 1) * (cols + 1))
+	colBack := s.opt.pool.GetFull(int(lanes) * (C - 1) * (rows + 1))
+	defer s.opt.pool.Put(rowBack)
+	defer s.opt.pool.Put(colBack)
 	for i := 1; i < R; i++ {
 		meshRows[i].H, rowBack = rowBack[:cols+1:cols+1], rowBack[cols+1:]
 		meshRows[i].H[0] = grid.cols[0].H[trs[i]-t.r0]

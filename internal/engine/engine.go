@@ -293,7 +293,7 @@ type Job struct {
 	batch     string
 	requestID string
 	seq       uint64
-	task      Task
+	task      Task // guarded by the engine lock; nil once the job is terminal
 	retry     RetryPolicy
 	recorder  *obs.Recorder
 
@@ -735,6 +735,7 @@ func (e *Engine) worker() {
 			continue
 		}
 		wait := time.Since(j.queuedAt)
+		task := j.task
 		j.mu.Lock()
 		j.state = Running
 		j.started = time.Now()
@@ -756,10 +757,10 @@ func (e *Engine) worker() {
 			// when attribution is on; the labelled context is handed to the
 			// task, and solver phases layer their own labels on top of it.
 			pprof.Do(j.ctx, pprof.Labels("job_id", j.id, "job_kind", j.kind), func(lc context.Context) {
-				result, err = e.runTask(j, lc)
+				result, err = e.runTask(j, task, lc)
 			})
 		} else {
-			result, err = e.runTask(j, j.ctx)
+			result, err = e.runTask(j, task, j.ctx)
 		}
 
 		e.mu.Lock()
@@ -815,11 +816,12 @@ func (e *Engine) scheduleRetryLocked(j *Job, attempt int, cause error) {
 	})
 }
 
-// runTask executes the task, converting panics into errors (wrapping
+// runTask executes the job's task, converting panics into errors (wrapping
 // ErrJobPanic) so one bad job cannot take down the pool. The engine.worker
 // fault-injection site strikes here, before the task runs. ctx is the job's
-// context, possibly wrapped with pprof labels by the worker.
-func (e *Engine) runTask(j *Job, ctx context.Context) (result any, err error) {
+// context, possibly wrapped with pprof labels by the worker; task is j.task
+// as the worker read it under e.mu (finishLocked clears the field).
+func (e *Engine) runTask(j *Job, task Task, ctx context.Context) (result any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			result, err = nil, fmt.Errorf("%w: job %s: %v", ErrJobPanic, j.id, r)
@@ -828,7 +830,7 @@ func (e *Engine) runTask(j *Job, ctx context.Context) (result any, err error) {
 	if err := siteWorker.Hit(); err != nil {
 		return nil, err
 	}
-	return j.task(ctx)
+	return task(ctx)
 }
 
 // finishLocked moves a job to its terminal state. Callers hold e.mu; job
@@ -876,6 +878,10 @@ func (e *Engine) finishLocked(j *Job, result any, err error) {
 	}
 	j.recorder.Add(obs.Event{Kind: obs.EvFinish, Detail: detail, Extra: extra, Attempt: j.attempts})
 	delete(e.live, j)
+	// The task closure captures the job's inputs (sequences, options, the
+	// recorder); a finished job never runs again, so drop it rather than
+	// pin them for as long as the job stays queryable.
+	j.task = nil
 	j.cancel() // release the context's timer/goroutine
 	close(j.done)
 	e.notify(EventFinished, j)

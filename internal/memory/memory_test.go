@@ -135,3 +135,49 @@ func TestRowPool(t *testing.T) {
 }
 
 func got7() []int64 { return make([]int64, 7) }
+
+// TestRowPoolLargeAfterSmall: a short row returned alongside a long one must
+// not make the next request for the long size miss, or the largest buffers
+// of a run are reallocated on almost every call.
+func TestRowPoolLargeAfterSmall(t *testing.T) {
+	p := memory.NewRowPool()
+	const big, small = 30000, 2001
+	reused := 0
+	for i := 0; i < 20; i++ {
+		b := p.GetFull(big)
+		p.Put(p.GetFull(small))
+		p.Put(b)
+		got := p.GetFull(big)
+		if len(got) != big {
+			t.Fatalf("len = %d, want %d", len(got), big)
+		}
+		if &got[0] == &b[0] {
+			reused++
+		}
+		p.Put(got)
+	}
+	// sync.Pool may drop any Put (the race detector drops a quarter of
+	// them on purpose), so demand reuse, not reuse every time.
+	if reused == 0 {
+		t.Fatal("the pool never handed a returned long row back to a long request")
+	}
+}
+
+func TestRowPoolCapacities(t *testing.T) {
+	p := memory.NewRowPool()
+	for n := 0; n <= 5000; n += 7 {
+		s := p.GetFull(n)
+		if len(s) != n {
+			t.Fatalf("GetFull(%d): len %d", n, len(s))
+		}
+		if n > 16 && cap(s) > n+n/4 {
+			t.Fatalf("GetFull(%d): cap %d, more than 25%% over", n, cap(s))
+		}
+		p.Put(s)
+		for _, m := range []int{n, n + 1, n/2 + 1} {
+			if got := p.Get(m); len(got) != 0 || cap(got) < m {
+				t.Fatalf("Get(%d) after Put(cap %d): len %d cap %d", m, cap(s), len(got), cap(got))
+			}
+		}
+	}
+}

@@ -36,7 +36,8 @@ const (
 	EvSeqFill = "degrade.seq-fill"
 	// EvRoute records the aligner-backend routing decision. Detail is the
 	// backend, Extra the reason, Value the q-gram identity estimate when one
-	// was computed (0 otherwise).
+	// was computed (0 otherwise), Duration and Alt the router's predicted
+	// FastLSA and WFA run times behind a divergence verdict.
 	EvRoute = "route"
 	// EvBudgetFallback marks a WFA run exceeding its memory budget and being
 	// transparently re-run on planned FastLSA. Detail is the WFA error.
@@ -68,6 +69,9 @@ type Event struct {
 	// Value carries a kind-specific number (e.g. the routing identity
 	// estimate).
 	Value float64 `json:"value,omitempty"`
+	// Alt carries a second kind-specific duration (the route event's
+	// predicted WFA time).
+	Alt time.Duration `json:"altNs,omitempty"`
 }
 
 // DefaultRecorderEvents is the default Recorder capacity: the head keeps the
@@ -88,13 +92,17 @@ const tailFraction = 4
 // head is full a small ring keeps the newest events, dropping from the
 // middle. Dropped events stay counted, so a snapshot always reports how much
 // of the timeline is missing.
+//
+// Both parts grow on demand up to their caps, so a typical job's few dozen
+// events cost a few dozen slots, not the full capacity.
 type Recorder struct {
 	mu      sync.Mutex
 	epoch   time.Time
 	head    []Event // first headCap events, in order
 	headCap int
 	tail    []Event // ring of the newest events once head is full
-	tailPos int     // next write position in tail once len(tail) == cap(tail)
+	tailCap int
+	tailPos int // next write position in tail once len(tail) == tailCap
 	dropped int
 	total   int
 }
@@ -114,11 +122,7 @@ func NewRecorder(capacity int) *Recorder {
 	if headCap < 1 {
 		headCap = 1
 	}
-	return &Recorder{
-		epoch:   time.Now(),
-		headCap: headCap,
-		tail:    make([]Event, 0, tailCap),
-	}
+	return &Recorder{epoch: time.Now(), headCap: headCap, tailCap: tailCap}
 }
 
 // Add records one event, stamping its Offset from the recorder's epoch. The
@@ -142,18 +146,26 @@ func (r *Recorder) addAt(e Event, now time.Time) {
 	r.total++
 	switch {
 	case len(r.head) < r.headCap:
-		if r.head == nil {
-			r.head = make([]Event, 0, r.headCap)
-		}
-		r.head = append(r.head, e)
-	case len(r.tail) < cap(r.tail):
-		r.tail = append(r.tail, e)
+		r.head = appendCapped(r.head, e, r.headCap)
+	case len(r.tail) < r.tailCap:
+		r.tail = appendCapped(r.tail, e, r.tailCap)
 	default:
 		r.tail[r.tailPos] = e
 		r.tailPos = (r.tailPos + 1) % len(r.tail)
 		r.dropped++
 	}
 	r.mu.Unlock()
+}
+
+// appendCapped appends e to s, doubling its capacity (from 8) when full but
+// never past limit.
+func appendCapped(s []Event, e Event, limit int) []Event {
+	if len(s) == cap(s) {
+		grown := make([]Event, len(s), min(max(2*cap(s), 8), limit))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, e)
 }
 
 // Len returns the number of retained events.

@@ -80,6 +80,32 @@ func TestRecorderHeadTailRetention(t *testing.T) {
 	}
 }
 
+// TestRecorderGrowsOnDemand checks a default recorder allocates by use, not
+// by capacity: a typical job's ~40 events fit in at most 64 slots, and a
+// flood still stops at exactly the head and tail caps.
+func TestRecorderGrowsOnDemand(t *testing.T) {
+	r := NewRecorder(0)
+	for i := 0; i < 40; i++ {
+		r.Add(Event{Kind: EvPhase, Attempt: i})
+	}
+	if slots := cap(r.head) + cap(r.tail); slots > 64 {
+		t.Errorf("40-event recorder holds %d slots, want <= 64", slots)
+	}
+	for i := 40; i < 1000; i++ {
+		r.Add(Event{Kind: EvPhase, Attempt: i})
+	}
+	if cap(r.head) != r.headCap || cap(r.tail) != r.tailCap {
+		t.Errorf("flooded recorder caps head %d tail %d, want %d and %d", cap(r.head), cap(r.tail), r.headCap, r.tailCap)
+	}
+	snap := r.Snapshot()
+	if len(snap.Events) != DefaultRecorderEvents || snap.Dropped != 1000-DefaultRecorderEvents || snap.Total != 1000 {
+		t.Fatalf("retained %d, dropped %d, total %d", len(snap.Events), snap.Dropped, snap.Total)
+	}
+	if first, last := snap.Events[0].Attempt, snap.Events[len(snap.Events)-1].Attempt; first != 0 || last != 999 {
+		t.Errorf("timeline spans %d..%d, want 0..999", first, last)
+	}
+}
+
 func TestRecorderNilIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Add(Event{Kind: EvAdmit}) // must not panic
