@@ -57,17 +57,19 @@ const (
 	// (Theorems 1–2) included, under the one-plane linear and the
 	// three-plane affine kernel; fastlsaFixedNs is its per-run setup.
 	// Least-squares fit (in log time) to every rung's FastLSA time.
-	fastlsaLinearNsPerCell = 1.9
-	fastlsaAffineNsPerCell = 3.2
+	fastlsaLinearNsPerCell = 0.96
+	fastlsaAffineNsPerCell = 1.6
 	fastlsaFixedNs         = 100e3
 	// wfaNsPerCell prices one predicted BiWFA wavefront cell. It is fitted
 	// to the verdicts rather than the times: the geometric middle of the
-	// range (195–345 ns) over which every rung where one backend is ≥2×
-	// faster routes to that backend and the summed log-regret is least.
+	// range (101–148 ns) over which every rung of five re-runs where one
+	// backend is ≥2× faster routes to that backend, and a 2 kbp pair at 1%
+	// substitutions (the TestAutoRouting anchor, estimate 0.984) still
+	// routes to BiWFA. Every rung's regret in that range is ≤ 1.6.
 	// Far from the crossover BiWFA runs at 50–100 ns per predicted cell;
 	// near it, Hirschberg fallbacks on gap-straddling splits cost 2–5×
 	// more, and that is the band where the price decides.
-	wfaNsPerCell = 260.0
+	wfaNsPerCell = 120.0
 )
 
 // Route is one routing decision.

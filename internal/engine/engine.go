@@ -313,6 +313,9 @@ type Job struct {
 	result    any
 	err       error
 	done      chan struct{}
+	// waiters counts callers inside Wait; evictLocked keeps the result of
+	// a job that has any, so a payload is never dropped from under them.
+	waiters int
 
 	// index is the heap slot while queued (-1 once popped or abandoned).
 	index int
@@ -320,6 +323,10 @@ type Job struct {
 	// re-queue); workers derive the per-attempt queue wait from it. Guarded
 	// by the engine lock, like index.
 	queuedAt time.Time
+	// finishSeq is the engine's finish count when the job finished
+	// (registered jobs only); evictLocked ages result payloads by it.
+	// Guarded by the engine lock.
+	finishSeq uint64
 }
 
 // ID returns the engine-assigned job id.
@@ -371,15 +378,25 @@ func (j *Job) HasRecorder() bool {
 
 // Wait blocks until the job finishes or ctx is cancelled. It returns the
 // job's result and error; the error wraps context.Canceled when the job was
-// cancelled (so errors.Is works through the chain).
+// cancelled (so errors.Is works through the chain). A caller that entered
+// Wait before the job aged past Config.MaxRetainedResults still receives
+// the result: the payload is not dropped while anyone waits on it.
 func (j *Job) Wait(ctx context.Context) (any, error) {
+	j.mu.Lock()
+	j.waiters++
+	j.mu.Unlock()
+	var cerr error
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		cerr = ctx.Err()
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.waiters--
+	if cerr != nil {
+		return nil, cerr
+	}
 	return j.result, j.err
 }
 
@@ -451,6 +468,7 @@ type Engine struct {
 	closed     bool
 	nextID     uint64
 	nextSeq    uint64
+	finishes   uint64 // registered jobs finished so far; ages results
 	running    int
 	submits    int64
 	rejects    int64
@@ -886,6 +904,8 @@ func (e *Engine) finishLocked(j *Job, result any, err error) {
 	close(j.done)
 	e.notify(EventFinished, j)
 	if j.batch == "" {
+		e.finishes++
+		j.finishSeq = e.finishes
 		e.evictLocked()
 	}
 }
@@ -895,10 +915,13 @@ func isCancellation(err error) bool {
 }
 
 // evictLocked drops the oldest finished registered jobs beyond MaxRetained,
-// and drops the result payloads of all but the newest MaxRetainedResults
-// finished jobs: a retained job's metadata is tiny, but its result can be an
-// entire alignment response, and 256 of those pin real memory on a
-// long-lived server.
+// and drops the result payloads of all but the MaxRetainedResults most
+// recently finished jobs: a retained job's metadata is tiny, but its result
+// can be an entire alignment response, and 256 of those pin real memory on
+// a long-lived server. Results age by finish order, not submission order,
+// so a long job is not stripped of its result the moment it finishes
+// behind shorter, later ones; and a result someone is waiting on is kept
+// until a later eviction.
 func (e *Engine) evictLocked() {
 	finished := 0
 	for _, id := range e.order {
@@ -923,19 +946,16 @@ func (e *Engine) evictLocked() {
 	if finished <= e.cfg.MaxRetainedResults {
 		return
 	}
-	withResult := 0
-	for i := len(e.order) - 1; i >= 0; i-- {
-		j := e.jobs[e.order[i]]
-		if j == nil || !j.state.Terminal() {
-			continue
-		}
-		if withResult < e.cfg.MaxRetainedResults {
-			withResult++
+	for _, id := range e.order {
+		j := e.jobs[id]
+		if j == nil || !j.state.Terminal() || e.finishes-j.finishSeq < uint64(e.cfg.MaxRetainedResults) {
 			continue
 		}
 		j.mu.Lock()
-		j.result = nil
-		j.recorder = nil // the flight recorder ages out with the payload
+		if j.waiters == 0 {
+			j.result = nil
+			j.recorder = nil // the flight recorder ages out with the payload
+		}
 		j.mu.Unlock()
 	}
 }

@@ -434,6 +434,65 @@ func TestResultRetentionBound(t *testing.T) {
 	}
 }
 
+// TestResultRetentionByFinishOrder: result payloads age by finish order. A
+// long job that finishes after later, shorter submissions keeps its result;
+// once it has aged past MaxRetainedResults it still keeps it while a caller
+// sits in Wait; and the next eviction after the caller leaves drops it.
+func TestResultRetentionByFinishOrder(t *testing.T) {
+	e := New(Config{Workers: 2, QueueDepth: 8, MaxRetained: 16, MaxRetainedResults: 1})
+	defer shutdownNow(t, e)
+
+	release := make(chan struct{})
+	slow, err := e.Submit(Submission{Task: func(ctx context.Context) (any, error) {
+		<-release
+		return "slow", nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quick := func(v int) {
+		j, err := e.Submit(Submission{Task: func(context.Context) (any, error) { return v, nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := j.Wait(context.Background()); err != nil || res != v {
+			t.Fatalf("quick job %d = (%v, %v)", v, res, err)
+		}
+	}
+	slowResult := func() any {
+		res, err, ok := slow.Result()
+		if !ok || err != nil {
+			t.Fatalf("slow job = (%v, %v, %v), want finished ok", res, err, ok)
+		}
+		return res
+	}
+	quick(1)
+	quick(2)
+	close(release)
+	<-slow.done
+	if res := slowResult(); res != "slow" {
+		t.Fatalf("slow job finished last but its result = %v", res)
+	}
+
+	// A caller parked in Wait, between the job finishing and reading its
+	// result, pins the payload across evictions.
+	slow.mu.Lock()
+	slow.waiters++
+	slow.mu.Unlock()
+	quick(3)
+	quick(4)
+	if res := slowResult(); res != "slow" {
+		t.Fatalf("result dropped from under a waiter: %v", res)
+	}
+	slow.mu.Lock()
+	slow.waiters--
+	slow.mu.Unlock()
+	quick(5)
+	if res := slowResult(); res != nil {
+		t.Fatalf("slow job aged past MaxRetainedResults with no waiter, result = %v, want dropped", res)
+	}
+}
+
 func TestShutdownDrains(t *testing.T) {
 	e := New(Config{Workers: 2, QueueDepth: 8})
 	var done atomic.Int32

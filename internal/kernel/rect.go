@@ -84,68 +84,45 @@ func (k *Kernel) FillRect(a, b []byte, top, left Edge, rt Rect) error {
 // planes span the full rectangle (stride len(b)+1); wavefront-parallel fills
 // call this per tile, FillRect calls it once for the whole rectangle.
 func (k *Kernel) FillRegion(a, b []byte, rt Rect, r0, r1, c0, c1 int) error {
-	if k.Mod.IsAffine() {
-		return k.fillRegionAffine(a, b, rt, r0, r1, c0, c1)
-	}
 	stride := len(b) + 1
-	gap := k.Mod.Ext
-	buf := rt.H
-	poll := k.C.StartPoll()
-	for r := r0 + 1; r <= r1; r++ {
-		if err := poll.Tick(c1 - c0); err != nil {
-			return err
-		}
-		base := r * stride
-		prev := base - stride
-		srow := k.M.Row(a[r-1])
-		rv := buf[base+c0]
-		for j := c0 + 1; j <= c1; j++ {
-			best := buf[prev+j-1] + int64(srow[b[j-1]])
-			if v := buf[prev+j] + gap; v > best {
-				best = v
-			}
-			if v := rv + gap; v > best {
-				best = v
-			}
-			buf[base+j] = best
-			rv = best
-		}
-	}
-	k.C.AddCells(int64(r1-r0) * int64(c1-c0))
-	return nil
-}
-
-func (k *Kernel) fillRegionAffine(a, b []byte, rt Rect, r0, r1, c0, c1 int) error {
-	stride := len(b) + 1
+	w := c1 - c0
+	bb := b[c0:c1]
+	affine := k.Mod.IsAffine()
 	open, ext := k.Mod.Open, k.Mod.Ext
-	H, E, F := rt.H, rt.E, rt.F
+	// row cuts node row r of the planes to the tile's columns: entry 0 is
+	// the already-computed column c0, entries 1..w the cells to fill.
+	row := func(r int) planes {
+		lo, hi := r*stride+c0, r*stride+c1+1
+		p := planes{h: rt.H[lo:hi]}
+		if affine {
+			p.e, p.f = rt.E[lo:hi], rt.F[lo:hi]
+		}
+		return p
+	}
 	poll := k.C.StartPoll()
-	for r := r0 + 1; r <= r1; r++ {
-		if err := poll.Tick(c1 - c0); err != nil {
+	r := r0 + 1
+	for ; r < r1; r += 2 {
+		if err := poll.Tick(2 * w); err != nil {
 			return err
 		}
-		base := r * stride
-		prev := base - stride
-		srow := k.M.Row(a[r-1])
-		for j := c0 + 1; j <= c1; j++ {
-			e := E[prev+j] + ext
-			if v := H[prev+j] + open + ext; v > e {
-				e = v
-			}
-			E[base+j] = e
-			f := F[base+j-1] + ext
-			if v := H[base+j-1] + open + ext; v > f {
-				f = v
-			}
-			F[base+j] = f
-			h := H[prev+j-1] + int64(srow[b[j-1]])
-			if e > h {
-				h = e
-			}
-			if f > h {
-				h = f
-			}
-			H[base+j] = h
+		up, o1, o2 := row(r-1), row(r), row(r+1)
+		s1, s2 := k.M.Row(a[r-1]), k.M.Row(a[r])
+		if affine {
+			affRect2(up, o1, o2, bb, s1, s2, open, ext)
+		} else {
+			linRect2(up.h, o1.h, o2.h, bb, s1, s2, ext)
+		}
+	}
+	if r == r1 {
+		if err := poll.Tick(w); err != nil {
+			return err
+		}
+		up, o := row(r-1), row(r)
+		s := k.M.Row(a[r-1])
+		if affine {
+			affRect(up, o, bb, s, open, ext)
+		} else {
+			linRow(up.h[1:], o.h[1:], bb, s, up.h[0], o.h[0], ext)
 		}
 	}
 	k.C.AddCells(int64(r1-r0) * int64(c1-c0))

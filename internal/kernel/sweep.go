@@ -87,29 +87,28 @@ func (k *Kernel) forwardLinear(a, b []byte, top, left, outRow, outCol Edge) erro
 	}
 
 	poll := k.C.StartPoll()
-	for r := 0; r < rows; r++ {
+	cells := row[1 : n+1]
+	r := 0
+	for ; r+1 < rows; r += 2 {
+		if err := poll.Tick(2 * n); err != nil {
+			return err
+		}
+		diag, h1, h2 := row[0], left.H[r+1], left.H[r+2]
+		row[0] = h2
+		h1, h2 = linRows2(cells, b, k.M.Row(a[r]), k.M.Row(a[r+1]), diag, h1, h2, gap)
+		if outCol.H != nil {
+			outCol.H[r+1], outCol.H[r+2] = h1, h2
+		}
+	}
+	if r < rows {
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
-		srow := k.M.Row(a[r])
-		diag := row[0]
-		rv := left.H[r+1]
-		row[0] = rv
-		for j := 1; j <= n; j++ {
-			up := row[j]
-			best := diag + int64(srow[b[j-1]])
-			if v := up + gap; v > best {
-				best = v
-			}
-			if v := rv + gap; v > best {
-				best = v
-			}
-			row[j] = best
-			rv = best
-			diag = up
-		}
+		diag, h := row[0], left.H[r+1]
+		row[0] = h
+		h = linRow(cells, cells, b, k.M.Row(a[r]), diag, h, gap)
 		if outCol.H != nil {
-			outCol.H[r+1] = rv
+			outCol.H[r+1] = h
 		}
 	}
 	k.C.AddCells(int64(rows) * int64(n))
@@ -150,39 +149,32 @@ func (k *Kernel) forwardAffine(a, b []byte, top, left, outRow, outCol Edge) erro
 	}
 
 	poll := k.C.StartPoll()
-	for r := 0; r < rows; r++ {
+	hs, es := rowH[1:n+1], rowE[1:n+1]
+	rowE[0] = NegInf
+	r := 0
+	for ; r+1 < rows; r += 2 {
+		if err := poll.Tick(2 * n); err != nil {
+			return err
+		}
+		diag := rowH[0]
+		h1, f1 := left.H[r+1], left.G[r+1]
+		h2, f2 := left.H[r+2], left.G[r+2]
+		rowH[0] = h2
+		h1, f1, h2, f2 = affRows2(hs, es, b, k.M.Row(a[r]), k.M.Row(a[r+1]), diag, h1, f1, h2, f2, open, ext)
+		if outCol.H != nil {
+			outCol.H[r+1], outCol.H[r+2] = h1, h2
+		}
+		if outCol.G != nil {
+			outCol.G[r+1], outCol.G[r+2] = f1, f2
+		}
+	}
+	if r < rows {
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
-		srow := k.M.Row(a[r])
-		diagH := rowH[0]
-		h := left.H[r+1]
-		f := left.G[r+1]
+		diag, h, f := rowH[0], left.H[r+1], left.G[r+1]
 		rowH[0] = h
-		rowE[0] = NegInf
-		for j := 1; j <= n; j++ {
-			upH, upE := rowH[j], rowE[j]
-			e := upE + ext
-			if v := upH + open + ext; v > e {
-				e = v
-			}
-			fNew := f + ext
-			if v := h + open + ext; v > fNew {
-				fNew = v
-			}
-			f = fNew
-			hNew := diagH + int64(srow[b[j-1]])
-			if e > hNew {
-				hNew = e
-			}
-			if f > hNew {
-				hNew = f
-			}
-			h = hNew
-			diagH = upH
-			rowH[j] = h
-			rowE[j] = e
-		}
+		h, f = affRow(hs, es, b, k.M.Row(a[r]), diag, h, f, open, ext)
 		if outCol.H != nil {
 			outCol.H[r+1] = h
 		}
@@ -262,29 +254,28 @@ func (k *Kernel) backwardLinear(a, b []byte, bottom, right, outRow, outCol Edge)
 	}
 
 	poll := k.C.StartPoll()
-	for r := rows - 1; r >= 0; r-- {
+	cells := row[:n]
+	r := rows - 1
+	for ; r > 0; r -= 2 {
+		if err := poll.Tick(2 * n); err != nil {
+			return err
+		}
+		diag, h1, h2 := row[n], right.H[r], right.H[r-1]
+		row[n] = h2
+		h1, h2 = linRowsBack2(cells, b, k.M.Row(a[r]), k.M.Row(a[r-1]), diag, h1, h2, gap)
+		if outCol.H != nil {
+			outCol.H[r], outCol.H[r-1] = h1, h2
+		}
+	}
+	if r == 0 {
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
-		srow := k.M.Row(a[r])
-		diag := row[n]
-		rv := right.H[r]
-		row[n] = rv
-		for j := n - 1; j >= 0; j-- {
-			down := row[j]
-			best := diag + int64(srow[b[j]])
-			if v := down + gap; v > best {
-				best = v
-			}
-			if v := rv + gap; v > best {
-				best = v
-			}
-			row[j] = best
-			rv = best
-			diag = down
-		}
+		diag, h := row[n], right.H[0]
+		row[n] = h
+		h = linRowBack(cells, b, k.M.Row(a[0]), diag, h, gap)
 		if outCol.H != nil {
-			outCol.H[r] = rv
+			outCol.H[0] = h
 		}
 	}
 	k.C.AddCells(int64(rows) * int64(n))
@@ -330,44 +321,37 @@ func (k *Kernel) backwardAffine(a, b []byte, bottom, right, outRow, outCol Edge)
 	}
 
 	poll := k.C.StartPoll()
-	for r := rows - 1; r >= 0; r-- {
+	hs, es := rowH[:n], rowE[:n]
+	rowE[n] = NegInf
+	r := rows - 1
+	for ; r > 0; r -= 2 {
+		if err := poll.Tick(2 * n); err != nil {
+			return err
+		}
+		diag := rowH[n]
+		h1, f1 := right.H[r], right.G[r]
+		h2, f2 := right.H[r-1], right.G[r-1]
+		rowH[n] = h2
+		h1, f1, h2, f2 = affRowsBack2(hs, es, b, k.M.Row(a[r]), k.M.Row(a[r-1]), diag, h1, f1, h2, f2, open, ext)
+		if outCol.H != nil {
+			outCol.H[r], outCol.H[r-1] = h1, h2
+		}
+		if outCol.G != nil {
+			outCol.G[r], outCol.G[r-1] = f1, f2
+		}
+	}
+	if r == 0 {
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
-		srow := k.M.Row(a[r])
-		diagH := rowH[n]
-		h := right.H[r]
-		f := right.G[r]
+		diag, h, f := rowH[n], right.H[0], right.G[0]
 		rowH[n] = h
-		rowE[n] = NegInf
-		for j := n - 1; j >= 0; j-- {
-			downH, downE := rowH[j], rowE[j]
-			e := downE + ext
-			if v := downH + open + ext; v > e {
-				e = v
-			}
-			fNew := f + ext
-			if v := h + open + ext; v > fNew {
-				fNew = v
-			}
-			f = fNew
-			hNew := diagH + int64(srow[b[j]])
-			if e > hNew {
-				hNew = e
-			}
-			if f > hNew {
-				hNew = f
-			}
-			h = hNew
-			diagH = downH
-			rowH[j] = h
-			rowE[j] = e
-		}
+		h, f = affRowBack(hs, es, b, k.M.Row(a[0]), diag, h, f, open, ext)
 		if outCol.H != nil {
-			outCol.H[r] = h
+			outCol.H[0] = h
 		}
 		if outCol.G != nil {
-			outCol.G[r] = f
+			outCol.G[0] = f
 		}
 	}
 	k.C.AddCells(int64(rows) * int64(n))

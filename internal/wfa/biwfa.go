@@ -137,15 +137,6 @@ func (s *biSolver) valid(h, k int) bool {
 	return h >= 0 && h <= s.n && v >= 0 && v <= s.m
 }
 
-func (s *biSolver) extend(h, k int) int {
-	v := h - k
-	for h < s.n && v < s.m && s.a[v] == s.b[h] {
-		h++
-		v++
-	}
-	return h
-}
-
 // newFront reserves and returns a zeroed windowed front over [lo, hi].
 func (s *biSolver) newFront(lo, hi int, withBase bool) (*biFront, error) {
 	width := hi - lo + 1
@@ -260,7 +251,7 @@ func (s *biSolver) step(sc int) error {
 		if err != nil {
 			return err
 		}
-		f.cells[0] = uint32(s.extend(0, 0)) + 1
+		f.cells[0] = uint32(matchLen(s.a, s.b)) + 1
 		if s.recordBase {
 			f.base[0] = 1
 		}
@@ -340,7 +331,7 @@ func (s *biSolver) step(sc int) error {
 			bm = bi
 		}
 		if bm >= 0 {
-			wm.cells[k-lo] = uint32(s.extend(bm, k)) + 1
+			wm.cells[k-lo] = uint32(bm+matchLen(s.a[bm-k:], s.b[bm:])) + 1
 			if s.recordBase {
 				wm.base[k-lo] = uint32(bm) + 1
 			}

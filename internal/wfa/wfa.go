@@ -319,16 +319,6 @@ func (s *solver) valid(h, k int) bool {
 	return h >= 0 && h <= s.n && v >= 0 && v <= s.m
 }
 
-// extend advances offset h along diagonal k while residues match.
-func (s *solver) extend(h, k int) int {
-	v := h - k
-	for h < s.n && v < s.m && s.a[v] == s.b[h] {
-		h++
-		v++
-	}
-	return h
-}
-
 // newWavefront reserves and returns a zeroed front over diagonals [lo, hi].
 func (s *solver) newWavefront(lo, hi int) (*wavefront, error) {
 	width := hi - lo + 1
@@ -395,7 +385,7 @@ func (s *solver) compute(sc int) error {
 		if err != nil {
 			return err
 		}
-		w.cells[0] = pack(s.extend(0, 0), opNone)
+		w.cells[0] = pack(matchLen(s.a, s.b), opNone)
 		s.mw = append(s.mw, w)
 		s.iw = append(s.iw, nil)
 		s.dw = append(s.dw, nil)
@@ -477,7 +467,7 @@ func (s *solver) compute(sc int) error {
 			bm, om = off, opFromI
 		}
 		if bm >= 0 {
-			wm.cells[k-lo] = pack(s.extend(bm, k), om)
+			wm.cells[k-lo] = pack(bm+matchLen(s.a[bm-k:], s.b[bm:]), om)
 		}
 	}
 	s.iw = append(s.iw, wi)
